@@ -1,6 +1,7 @@
-//! Chase throughput measurement: semi-naive vs naive, sequential vs
-//! parallel, across saturation and implication workloads — plus two
-//! service scenarios. In `service_batch` the three columns become
+//! Chase throughput measurement: semi-naive vs naive across saturation
+//! and implication workloads — plus service scenarios. Chase rows time
+//! the two modes only; their third column is empty (`-` in the table,
+//! `null` in JSON). In `service_batch` the three columns become
 //! *sequential `decide`* vs *client (cached)* vs *client (cached +
 //! workers)* over a cache-friendly query batch, with `rows` = jobs and
 //! `rounds` = answers served without fresh work (cache hits + coalesced +
@@ -64,7 +65,8 @@ struct Record {
     workload: String,
     naive_ns: u128,
     semi_ns: u128,
-    parallel_ns: u128,
+    /// Third column; `None` for chase rows, which time two modes.
+    parallel_ns: Option<u128>,
     rows: usize,
     rounds: usize,
 }
@@ -93,8 +95,8 @@ fn time<I, R>(
 
 type Workload = (Relation, Vec<TdOrEgd>, ValuePool);
 
-/// Measures one saturation workload under naive / semi-naive / parallel
-/// configs, asserting outcome + rounds + row-count parity across them.
+/// Measures one saturation workload under the naive and semi-naive
+/// configs, asserting outcome + rounds + row-count parity between them.
 ///
 /// The applied-trigger prefix in a budget-truncating round may differ
 /// between modes, so parity here is deliberately not up-to-isomorphism
@@ -110,15 +112,14 @@ fn measure_saturation(
     let cfgs = [
         ChaseConfig::default().with_semi_naive(false),
         ChaseConfig::default(),
-        ChaseConfig::default().with_parallel(true),
     ];
-    // Samples interleave the three modes instead of timing each mode's
+    // Samples interleave the two modes instead of timing each mode's
     // block back to back, and the in-iteration order rotates: slow drift
     // (thermal, frequency, scheduler) then lands on every mode equally,
     // and no mode is systematically measured right after the expensive
     // naive run heats the core.
-    let mut times: [Vec<std::time::Duration>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut runs: [Option<ChaseRun>; 3] = [None, None, None];
+    let mut times: [Vec<std::time::Duration>; 2] = [Vec::new(), Vec::new()];
+    let mut runs: [Option<ChaseRun>; 2] = [None, None];
     for s in 0..samples {
         for k in 0..cfgs.len() {
             let m = (s + k) % cfgs.len();
@@ -132,23 +133,21 @@ fn measure_saturation(
         v.sort_unstable();
         v[v.len() / 2].as_nanos()
     };
-    let [mut tn, mut ts, mut tp] = times;
-    let (naive_ns, semi_ns, parallel_ns) = (median(&mut tn), median(&mut ts), median(&mut tp));
-    let [run_n, run_s, run_p] = runs.map(|r| r.expect("samples >= 1"));
-    for (mode, r) in [("semi", &run_s), ("parallel", &run_p)] {
-        assert_eq!(run_n.outcome, r.outcome, "{mode} parity violated");
-        assert_eq!(run_n.rounds, r.rounds, "{mode} parity violated");
-        assert_eq!(
-            run_n.final_relation.len(),
-            r.final_relation.len(),
-            "{mode} parity violated"
-        );
-    }
+    let [mut tn, mut ts] = times;
+    let (naive_ns, semi_ns) = (median(&mut tn), median(&mut ts));
+    let [run_n, run_s] = runs.map(|r| r.expect("samples >= 1"));
+    assert_eq!(run_n.outcome, run_s.outcome, "semi parity violated");
+    assert_eq!(run_n.rounds, run_s.rounds, "semi parity violated");
+    assert_eq!(
+        run_n.final_relation.len(),
+        run_s.final_relation.len(),
+        "semi parity violated"
+    );
     Record {
         workload,
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: None,
         rows: run_s.final_relation.len(),
         rounds: run_s.rounds,
     }
@@ -169,18 +168,13 @@ fn measure_implication(len: usize, samples: usize) -> Record {
         run(ChaseConfig::default().with_semi_naive(false), w)
     });
     let (semi_ns, run_s) = time(samples, make, |w| run(ChaseConfig::default(), w));
-    let (parallel_ns, run_p) = time(samples, make, |w| {
-        run(ChaseConfig::default().with_parallel(true), w)
-    });
-    for (mode, r) in [("semi", &run_s), ("parallel", &run_p)] {
-        assert_eq!(run_n.outcome, r.outcome, "{mode} parity violated");
-        assert_eq!(run_n.rounds, r.rounds, "{mode} parity violated");
-    }
+    assert_eq!(run_n.outcome, run_s.outcome, "semi parity violated");
+    assert_eq!(run_n.rounds, run_s.rounds, "semi parity violated");
     Record {
         workload: format!("implication/mvd_chain{len}"),
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: None,
         rows: run_s.final_relation.len(),
         rounds: run_s.rounds,
     }
@@ -326,7 +320,7 @@ fn measure_service_batch(distinct: usize, renamings: usize, samples: usize) -> R
         workload: format!("service_batch/d{distinct}xr{renamings}"),
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: Some(parallel_ns),
         rows: seq_answers.len(),
         rounds: served_free as usize,
     }
@@ -371,7 +365,7 @@ fn measure_multi_submit(
         workload: format!("service_multi_submit/d{distinct}xr{renamings}+bg{background}x{threads}t"),
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: Some(parallel_ns),
         rows: seq_answers.len(),
         rounds: background,
     }
@@ -471,7 +465,7 @@ fn measure_divergent_mix(
         workload: format!("service_divergent_mix/d{distinct}xr{renamings}+dv{divergent}"),
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: Some(parallel_ns),
         rows: seq_fg.len() + seq_div.len(),
         rounds: dov_div.len(),
     }
@@ -666,7 +660,7 @@ fn measure_service_mixed_class(samples: usize) -> Record {
         workload: format!("service_mixed_class/lines{}", MIXED_CLASS_CORPUS.len()),
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: Some(parallel_ns),
         rows: expected.iter().sum::<u64>() as usize * 2,
         rounds: classes_seen,
     }
@@ -751,7 +745,7 @@ fn measure_telemetry_overhead(
         workload: format!("service_telemetry_overhead/d{distinct}xr{renamings}+dv{divergent}"),
         naive_ns: on_ns,
         semi_ns: off_ns,
-        parallel_ns: on2_ns,
+        parallel_ns: Some(on2_ns),
         rows: on_fg.len() + on_div.len(),
         rounds: divergent,
     }
@@ -845,7 +839,7 @@ fn measure_skewed_steal(jobs: usize, ballast: usize, samples: usize, assert_rati
         workload: format!("service_skewed_shards/j{jobs}+b{ballast}x4w"),
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: Some(parallel_ns),
         rows: jobs + ballast,
         rounds: on_steals as usize,
     }
@@ -1051,7 +1045,7 @@ fn measure_socket_stream(
         workload: format!("service_socket_stream/d{distinct}xr{repeats}+{clients}c"),
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: Some(parallel_ns),
         rows: corpus.len(),
         rounds: cached_single,
     }
@@ -1127,7 +1121,7 @@ fn measure_service_shared_sigma(
         workload: format!("service_shared_sigma/w{width}r{rows}x{members}"),
         naive_ns,
         semi_ns,
-        parallel_ns,
+        parallel_ns: Some(parallel_ns),
         rows: seq.len(),
         rounds: group_stats.group_chases as usize,
     }
@@ -1207,7 +1201,7 @@ fn measure_service_warm_restart(distinct: usize, repeats: usize, samples: usize)
         workload: format!("service_warm_restart/d{distinct}xr{repeats}"),
         naive_ns: median(&mut cold_times),
         semi_ns: median(&mut warm_times),
-        parallel_ns: median(&mut verify_times),
+        parallel_ns: Some(median(&mut verify_times)),
         rows: corpus.len(),
         rounds: warm_hits as usize,
     }
@@ -1227,10 +1221,7 @@ fn main() {
             measure_saturation("egd_saturation/w5/rows12/k2".into(), 1, || {
                 egd_saturation_workload(5, 12, 2, 1982)
             }),
-            // 5 samples (not 1): this row carries the parallel-vs-semi
-            // floor assertion below, and a single-sample median is pure
-            // scheduler noise. Still milliseconds-scale.
-            measure_saturation("divergent_saturation/inert8".into(), 5, || {
+            measure_saturation("divergent_saturation/inert8".into(), 1, || {
                 divergent_saturation_workload(8, 1982)
             }),
             measure_saturation("egd_cascade/chains2".into(), 1, || {
@@ -1293,39 +1284,21 @@ fn main() {
         ]
     };
 
-    // The delta-sharded parallel scanner must not lose to plain semi-naive
-    // on its headline workload (divergent saturation): ≥ 1.1× in the full
-    // suite on multi-core hosts, relaxed to ≥ 0.9× in smoke (single noisy
-    // samples) and on single-core hosts, where the thread fan-out cannot
-    // pay and only the deferred-satisfaction probe saving remains.
-    let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    let parallel_floor = if smoke || !multi_core { 0.9 } else { 1.1 };
-    for r in records
-        .iter()
-        .filter(|r| r.workload.starts_with("divergent_saturation/"))
-    {
-        let ratio = r.semi_ns as f64 / r.parallel_ns as f64;
-        assert!(
-            ratio >= parallel_floor,
-            "{}: parallel must be >= {parallel_floor}x semi, got {ratio:.2}x \
-             (semi {:.3} ms, parallel {:.3} ms)",
-            r.workload,
-            r.semi_ns as f64 / 1e6,
-            r.parallel_ns as f64 / 1e6,
-        );
-    }
-
     println!(
         "{:<38} {:>12} {:>12} {:>12} {:>8} {:>7} {:>7}",
         "workload", "naive", "semi", "parallel", "speedup", "rows", "rounds"
     );
     for r in &records {
+        let third = match r.parallel_ns {
+            Some(ns) => format!("{:>9.3} ms", ns as f64 / 1e6),
+            None => format!("{:>12}", "-"),
+        };
         println!(
-            "{:<38} {:>9.3} ms {:>9.3} ms {:>9.3} ms {:>7.2}x {:>7} {:>7}",
+            "{:<38} {:>9.3} ms {:>9.3} ms {} {:>7.2}x {:>7} {:>7}",
             r.workload,
             r.naive_ns as f64 / 1e6,
             r.semi_ns as f64 / 1e6,
-            r.parallel_ns as f64 / 1e6,
+            third,
             r.naive_ns as f64 / r.semi_ns as f64,
             r.rows,
             r.rounds,
@@ -1342,7 +1315,8 @@ fn main() {
                 r.workload,
                 r.naive_ns,
                 r.semi_ns,
-                r.parallel_ns,
+                r.parallel_ns
+                    .map_or("null".to_string(), |ns| ns.to_string()),
                 r.naive_ns as f64 / r.semi_ns as f64,
                 r.rows,
                 r.rounds,

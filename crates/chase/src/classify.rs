@@ -16,55 +16,36 @@
 //!   manufactures avoidable `Unknown`s. [`routed_decide_config`] therefore
 //!   rewrites the configuration to a sequential, search-free chase with
 //!   effectively unbounded budgets.
-//! * **Linear Σ**: every dependency has a single-row hypothesis (the
-//!   single-body-atom tgds of PDQ's `TGD.isLinear`). Trigger discovery
-//!   never joins rows. This crate has no dedicated linear decision
-//!   procedure, so the route is *observational*: the service counts it
-//!   (`class_routed_linear`) but executes the default dovetail, which is
-//!   always sound.
-//! * **Guarded Σ**: some hypothesis row of each dependency carries all of
-//!   its hypothesis values (PDQ's `TGD.isGuarded`); linear ⇒ guarded.
-//!   Also observational, for the same reason.
 //! * **Everything else** routes to the default dovetail
 //!   ([`RouteClass::Dovetail`]) — the fair pairing of the two r.e.
 //!   procedures, the only always-sound general answer.
 //!
-//! The precedence is `Terminating > Linear > Guarded > Dovetail`: weak
-//! acyclicity is the only property that changes *execution*, so it wins
-//! whenever it holds; the observational classes refine the remainder.
+//! Weak acyclicity is the only fragment recognized, because it is the only
+//! one whose detection changes *execution* here. Other decidable fragments
+//! (linear or guarded Σ, for instance) pay off only with a dedicated
+//! decision procedure, which this crate does not have.
 //! Routing never changes an answer — only how fast (and how definitely)
 //! it arrives — which the differential suite `tests/classifier_parity.rs`
 //! pins against the unclassified baseline.
 
 use crate::engine::ChaseConfig;
 use crate::implication::{DecideConfig, DecideMode};
-use crate::termination::{is_guarded, is_linear, weakly_acyclic};
+use crate::termination::weakly_acyclic;
 use typedtd_dependencies::TdOrEgd;
 
-/// Which routing fragment a Σ falls into, in precedence order. The names
-/// are stable: they ride `class_routed_*` stats tokens and metrics labels.
+/// Which routing fragment a Σ falls into. The names are stable: they ride
+/// `class_routed_*` stats tokens and metrics labels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouteClass {
     /// Weakly acyclic: the chase terminates, deciding both problems.
     Terminating,
-    /// Every dependency has a single-row hypothesis (and Σ is not
-    /// detectably terminating). Observational.
-    Linear,
-    /// Every dependency is guarded but not all linear (and Σ is not
-    /// detectably terminating). Observational.
-    Guarded,
     /// No recognized fragment: the general dovetail path.
     Dovetail,
 }
 
 impl RouteClass {
-    /// Every route, in precedence order (index order = [`Self::index`]).
-    pub const ALL: [RouteClass; 4] = [
-        RouteClass::Terminating,
-        RouteClass::Linear,
-        RouteClass::Guarded,
-        RouteClass::Dovetail,
-    ];
+    /// Every route (index order = [`Self::index`]).
+    pub const ALL: [RouteClass; 2] = [RouteClass::Terminating, RouteClass::Dovetail];
 
     /// Number of routes (array-size companion of [`Self::ALL`]).
     pub const COUNT: usize = Self::ALL.len();
@@ -73,9 +54,7 @@ impl RouteClass {
     pub fn index(self) -> usize {
         match self {
             RouteClass::Terminating => 0,
-            RouteClass::Linear => 1,
-            RouteClass::Guarded => 2,
-            RouteClass::Dovetail => 3,
+            RouteClass::Dovetail => 1,
         }
     }
 
@@ -83,8 +62,6 @@ impl RouteClass {
     pub fn as_str(self) -> &'static str {
         match self {
             RouteClass::Terminating => "terminating",
-            RouteClass::Linear => "linear",
-            RouteClass::Guarded => "guarded",
             RouteClass::Dovetail => "dovetail",
         }
     }
@@ -98,22 +75,14 @@ pub struct FragmentReport {
     /// No cycle of the position dependency graph crosses a special edge:
     /// every chase over this Σ terminates.
     pub weakly_acyclic: bool,
-    /// Every dependency has a single-row hypothesis.
-    pub linear: bool,
-    /// Every dependency has a guard row covering its hypothesis values.
-    pub guarded: bool,
 }
 
 impl FragmentReport {
-    /// The cheapest sound route for this Σ, by precedence
-    /// `Terminating > Linear > Guarded > Dovetail`.
+    /// The cheapest sound route for this Σ: `Terminating` when weakly
+    /// acyclic, `Dovetail` otherwise.
     pub fn route(&self) -> RouteClass {
         if self.weakly_acyclic {
             RouteClass::Terminating
-        } else if self.linear {
-            RouteClass::Linear
-        } else if self.guarded {
-            RouteClass::Guarded
         } else {
             RouteClass::Dovetail
         }
@@ -121,20 +90,17 @@ impl FragmentReport {
 }
 
 /// Classifies `Σ` in one syntactic pass (no chasing, no search): weak
-/// acyclicity over the position dependency graph plus per-dependency
-/// linearity/guardedness. Cost is polynomial in `|Σ|` and the universe
-/// width — negligible next to a single chase round.
+/// acyclicity over the position dependency graph. Cost is polynomial in
+/// `|Σ|` and the universe width — negligible next to a single chase round.
 pub fn classify(sigma: &[TdOrEgd]) -> FragmentReport {
     FragmentReport {
         weakly_acyclic: weakly_acyclic(sigma),
-        linear: sigma.iter().all(is_linear),
-        guarded: sigma.iter().all(is_guarded),
     }
 }
 
 /// A chase budget that will never expire before a terminating chase
-/// reaches its verdict, keeping `base`'s strategy knobs (variant,
-/// parallelism, semi-naive, shard count).
+/// reaches its verdict, keeping `base`'s strategy knobs (variant and
+/// semi-naive discovery).
 pub fn terminating_chase_config(base: &ChaseConfig) -> ChaseConfig {
     ChaseConfig {
         max_rounds: usize::MAX,
@@ -150,9 +116,8 @@ pub fn terminating_chase_config(base: &ChaseConfig) -> ChaseConfig {
 /// total decision procedure for both problems, so the mode drops to
 /// [`DecideMode::Sequential`], the finite-model search is skipped (a
 /// terminal `NotImplied` already carries a finite counterexample), and the
-/// chase budgets open up ([`terminating_chase_config`]). The observational
-/// routes return `base` unchanged — there is no cheaper procedure that is
-/// also sound for them, and misrouting must never alter an answer.
+/// chase budgets open up ([`terminating_chase_config`]).
+/// [`RouteClass::Dovetail`] returns `base` unchanged.
 pub fn routed_decide_config(base: &DecideConfig, route: RouteClass) -> DecideConfig {
     match route {
         RouteClass::Terminating => DecideConfig {
@@ -161,7 +126,7 @@ pub fn routed_decide_config(base: &DecideConfig, route: RouteClass) -> DecideCon
             skip_search: true,
             mode: DecideMode::Sequential,
         },
-        RouteClass::Linear | RouteClass::Guarded | RouteClass::Dovetail => base.clone(),
+        RouteClass::Dovetail => base.clone(),
     }
 }
 
@@ -202,17 +167,16 @@ mod tests {
     }
 
     #[test]
-    fn self_feeding_linear_td_routes_linear() {
+    fn self_feeding_single_row_td_routes_dovetail() {
         // Single-row hypothesis, but the existential feeds back: not
-        // weakly acyclic, so the linear (observational) route wins.
+        // weakly acyclic, so the general dovetail route applies.
         let untyped = Universe::untyped_abc();
         let mut pool = ValuePool::new(untyped.clone());
         let td = td_from_names(&untyped, &mut pool, &[&["x", "y", "z"]], &["y", "q", "z"]);
         let sigma = vec![TdOrEgd::Td(td)];
         let report = classify(&sigma);
         assert!(!report.weakly_acyclic);
-        assert!(report.linear && report.guarded);
-        assert_eq!(report.route(), RouteClass::Linear);
+        assert_eq!(report.route(), RouteClass::Dovetail);
     }
 
     #[test]
@@ -240,10 +204,8 @@ mod tests {
         assert!(routed.skip_search);
         assert_eq!(routed.chase.max_rounds, usize::MAX);
         assert_eq!(routed.chase.variant, base.chase.variant);
-        for r in [RouteClass::Linear, RouteClass::Guarded, RouteClass::Dovetail] {
-            let same = routed_decide_config(&base, r);
-            assert_eq!(same.chase.max_rounds, base.chase.max_rounds);
-            assert_eq!(same.skip_search, base.skip_search);
-        }
+        let same = routed_decide_config(&base, RouteClass::Dovetail);
+        assert_eq!(same.chase.max_rounds, base.chase.max_rounds);
+        assert_eq!(same.skip_search, base.skip_search);
     }
 }

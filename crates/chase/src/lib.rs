@@ -54,7 +54,7 @@ pub use implication::{
     Decision, MultiDecision, ProgressSnapshot, TaskPhase,
 };
 pub use instance::ChaseInstance;
-pub use termination::{dependency_graph, is_guarded, is_linear, weakly_acyclic, Edge};
+pub use termination::{dependency_graph, weakly_acyclic, Edge};
 pub use search::{
     exhaustive_counterexample, is_counterexample, random_counterexample, SearchConfig,
     SearchStatus, SearchTask,

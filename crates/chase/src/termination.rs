@@ -89,37 +89,6 @@ pub fn weakly_acyclic(sigma: &[TdOrEgd]) -> bool {
     true
 }
 
-/// `true` if `dep` is *linear*: its hypothesis is a single row (the
-/// single-body-atom tgds of the PDQ/guarded literature). A linear td's
-/// chase step never joins rows, so linear Σ admit much cheaper trigger
-/// discovery; every linear dependency is trivially guarded.
-pub fn is_linear(dep: &TdOrEgd) -> bool {
-    match dep {
-        TdOrEgd::Td(td) => td.hypothesis().len() == 1,
-        TdOrEgd::Egd(e) => e.hypothesis().len() == 1,
-    }
-}
-
-/// `true` if `dep` is *guarded*: some hypothesis row (the guard) contains
-/// every value occurring in the hypothesis. Guarded tgds are the classical
-/// decidable fragment; in this single-relation setting a guard must carry
-/// all the variables the other hypothesis rows mention. Linear implies
-/// guarded.
-pub fn is_guarded(dep: &TdOrEgd) -> bool {
-    let hyp = match dep {
-        TdOrEgd::Td(td) => td.hypothesis(),
-        TdOrEgd::Egd(e) => e.hypothesis(),
-    };
-    let mut vals: FxHashSet<typedtd_relational::Value> = FxHashSet::default();
-    for row in hyp {
-        vals.extend(row.values().iter().copied());
-    }
-    hyp.iter().any(|guard| {
-        let gv: FxHashSet<_> = guard.values().iter().copied().collect();
-        vals.iter().all(|v| gv.contains(v))
-    })
-}
-
 fn reachable(edges: &[Edge], from: AttrId, to: AttrId) -> bool {
     if from == to {
         return true;
@@ -229,60 +198,6 @@ mod tests {
             }
         }
         (sigma, ())
-    }
-
-    #[test]
-    fn single_row_hypotheses_are_linear_and_guarded() {
-        let untyped = Universe::untyped_abc();
-        let mut pool = ValuePool::new(untyped.clone());
-        let td = td_from_names(&untyped, &mut pool, &[&["x", "y", "z"]], &["x", "q", "z"]);
-        let dep = TdOrEgd::Td(td);
-        assert!(is_linear(&dep));
-        assert!(is_guarded(&dep));
-    }
-
-    #[test]
-    fn joins_are_not_linear_but_may_be_guarded() {
-        let untyped = Universe::untyped_abc();
-        let mut pool = ValuePool::new(untyped.clone());
-        // Two-row hypothesis where one row repeats every value of the
-        // other: guarded but not linear.
-        let guarded = td_from_names(
-            &untyped,
-            &mut pool,
-            &[&["x", "y", "z"], &["x", "y", "z"]],
-            &["x", "y", "q"],
-        );
-        let dep = TdOrEgd::Td(guarded);
-        assert!(!is_linear(&dep));
-        assert!(is_guarded(&dep));
-        // A genuine join — no row sees the other's private values.
-        let join = td_from_names(
-            &untyped,
-            &mut pool,
-            &[&["x", "y", "z"], &["z", "v", "w"]],
-            &["x", "v", "w"],
-        );
-        let dep = TdOrEgd::Td(join);
-        assert!(!is_linear(&dep));
-        assert!(!is_guarded(&dep));
-    }
-
-    #[test]
-    fn fd_egds_are_not_linear_but_detectors_accept_egds() {
-        let u = u3();
-        let mut pool = ValuePool::new(u.clone());
-        let egds: Vec<TdOrEgd> = Fd::parse(&u, "A -> B")
-            .unwrap()
-            .to_egds(&u, &mut pool)
-            .into_iter()
-            .map(TdOrEgd::Egd)
-            .collect();
-        for e in &egds {
-            // An fd egd has a two-row hypothesis sharing only the lhs.
-            assert!(!is_linear(e));
-            assert!(!is_guarded(e));
-        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use typedtd_chase::{
-    classify, is_guarded, is_linear, terminating_chase_config, weakly_acyclic, ChaseConfig,
-    ChaseOutcome, ChaseTask, RouteClass, StepStatus,
+    classify, terminating_chase_config, weakly_acyclic, ChaseConfig, ChaseOutcome, ChaseTask,
+    RouteClass, StepStatus,
 };
 use typedtd_dependencies::{td_from_names, TdOrEgd};
 use typedtd_relational::{Relation, Tuple, Universe, ValuePool};
@@ -75,39 +75,6 @@ proptest! {
         let sigma = vec![td_of(&[[0, 1, 2]], concl)];
         prop_assert!(!weakly_acyclic(&sigma));
         prop_assert_ne!(classify(&sigma).route(), RouteClass::Terminating);
-    }
-
-    /// Single-body-atom tds are linear, and linear implies guarded — per
-    /// dependency and for whole-Σ classification.
-    #[test]
-    fn single_row_tds_are_linear_hence_guarded(
-        row in [0..4usize, 0..4usize, 0..4usize],
-        concl in [0..6usize, 0..6usize, 0..6usize],
-    ) {
-        let dep = td_of(&[row], concl);
-        prop_assert!(is_linear(&dep));
-        prop_assert!(is_guarded(&dep));
-        let report = classify(std::slice::from_ref(&dep));
-        prop_assert!(report.linear && report.guarded);
-    }
-
-    /// Whole-Σ linearity implies whole-Σ guardedness on arbitrary mixes.
-    #[test]
-    fn linear_sigma_is_guarded_sigma(
-        hyps in prop::collection::vec(hyp_strategy(), 1..=4),
-        concls in prop::collection::vec([0..6usize, 0..6usize, 0..6usize], 1..=4),
-    ) {
-        let sigma: Vec<TdOrEgd> = hyps
-            .iter()
-            .zip(&concls)
-            .map(|(h, c)| td_of(h, *c))
-            .collect();
-        let report = classify(&sigma);
-        if report.linear {
-            prop_assert!(report.guarded);
-        }
-        prop_assert_eq!(report.linear, sigma.iter().all(is_linear));
-        prop_assert_eq!(report.guarded, sigma.iter().all(is_guarded));
     }
 
     /// Soundness: when the classifier says `Terminating`, a blocking

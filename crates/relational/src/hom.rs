@@ -145,22 +145,14 @@ impl RowDelta {
 ///
 /// `build_rows` counts delta rows taken as the pinned (build-side) source
 /// row; `probe_hits` counts index-probe candidates that matched the partial
-/// valuation. Returned per call so the [`Embedder`] stays shareable across
-/// scoped threads.
+/// valuation. Passed in by the caller so one counter can span several
+/// scans.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Delta rows enumerated as the pinned source row.
     pub build_rows: u64,
     /// Probed candidate rows consistent with the bindings so far.
     pub probe_hits: u64,
-}
-
-impl ScanStats {
-    /// Accumulates another scan's counters.
-    pub fn absorb(&mut self, other: ScanStats) {
-        self.build_rows += other.build_rows;
-        self.probe_hits += other.probe_hits;
-    }
 }
 
 /// How a source row may be placed during delta-restricted search.
@@ -178,11 +170,6 @@ enum RowClass {
 struct DeltaConstraint<'d> {
     classes: Vec<RowClass>,
     delta: &'d RowDelta,
-    /// The slice of `delta.ids()` the pinned row actually enumerates —
-    /// the whole delta normally, one shard of it under parallel scanning.
-    /// `Old`-class exclusion still tests the full delta, so chunked scans
-    /// partition (never duplicate) the unchunked emission set.
-    pin_ids: &'d [u32],
 }
 
 /// Where emitted embeddings go. `Exists` short-circuits without
@@ -318,9 +305,9 @@ impl<'a> Embedder<'a> {
     /// row `pin` lands in `delta` while earlier rows avoid it. `plan` must
     /// be a placement order with `pin` first (see [`Self::touch_plans`]).
     ///
-    /// This is the unit of work the parallel chase shards across threads —
-    /// enumerating pins `0..source.len()` in order and concatenating the
-    /// emissions reproduces [`Self::for_each_embedding_touching`] exactly.
+    /// Enumerating pins `0..source.len()` in order and concatenating the
+    /// emissions reproduces [`Self::for_each_embedding_touching`] exactly;
+    /// the semi-naive chase drives it that way with cached plans.
     ///
     /// Returns `true` if `f` broke out early.
     #[allow(clippy::too_many_arguments)]
@@ -332,41 +319,9 @@ impl<'a> Embedder<'a> {
         pin: usize,
         plan: &[usize],
         stats: &mut ScanStats,
-        f: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> bool {
-        self.for_each_embedding_touching_pin_range(
-            source,
-            seed,
-            delta,
-            pin,
-            0..delta.len(),
-            plan,
-            stats,
-            f,
-        )
-    }
-
-    /// As [`Self::for_each_embedding_touching_pin`], but the pinned source
-    /// row only ranges over `range` (indices into `delta.ids()`). Old-row
-    /// exclusion for source rows before the pin still uses the *full*
-    /// delta, so the emissions over a partition of `0..delta.len()` —
-    /// concatenated in range order — reproduce the unchunked call exactly.
-    /// This is the unit the parallel chase shards across worker threads.
-    ///
-    /// Returns `true` if `f` broke out early.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_embedding_touching_pin_range(
-        &self,
-        source: &[Tuple],
-        seed: &Valuation,
-        delta: &RowDelta,
-        pin: usize,
-        range: std::ops::Range<usize>,
-        plan: &[usize],
-        stats: &mut ScanStats,
         mut f: impl FnMut(&Valuation) -> ControlFlow<()>,
     ) -> bool {
-        if source.is_empty() || delta.is_empty() || range.is_empty() {
+        if source.is_empty() || delta.is_empty() {
             return false;
         }
         let constraint = DeltaConstraint {
@@ -378,7 +333,6 @@ impl<'a> Embedder<'a> {
                 })
                 .collect(),
             delta,
-            pin_ids: &delta.ids()[range],
         };
         let mut trail: Vec<(Value, Value)> = Vec::new();
         let mut sink = Sink::Each(&mut f);
@@ -521,11 +475,10 @@ impl<'a> Embedder<'a> {
             match class {
                 RowClass::Any => {}
                 RowClass::Delta => {
-                    if constraint
+                    if !constraint
                         .expect("delta class implies constraint")
-                        .pin_ids
-                        .binary_search(&ri)
-                        .is_err()
+                        .delta
+                        .contains(ri)
                     {
                         return ControlFlow::Continue(());
                     }
@@ -572,7 +525,7 @@ impl<'a> Embedder<'a> {
         // smallest candidate set; consistency with the bindings is re-checked
         // by `try_candidate`, so any superset of the true candidates is sound.
         let delta_ids = match class {
-            RowClass::Delta => constraint.map(|c| c.pin_ids),
+            RowClass::Delta => constraint.map(|c| c.delta.ids()),
             _ => None,
         };
         match (best, delta_ids) {

@@ -36,7 +36,7 @@ pub fn stats_line(client: &ImplicationClient) -> String {
     let s = client.stats();
     let mut line = format!(
         "jobs={} completed={} yes={} no={} unknown={} cache_hits={} goal_in_sigma={} \
-         coalesced={} misses={} hit_rate={:.2} evictions={} expired={} cancelled={} \
+         coalesced={} misses={} hit_rate={:.2} verify_rejects={} evictions={} expired={} cancelled={} \
          retired={} shed={} fuel={} sweeps={} steals={} parked={} warm_hits={} \
          persist_errors={} cached_queries={} inflight={}",
         s.submitted,
@@ -49,6 +49,7 @@ pub fn stats_line(client: &ImplicationClient) -> String {
         s.coalesced,
         s.cache_misses,
         s.cache_hit_rate(),
+        s.verify_rejects,
         s.evictions,
         s.expired,
         s.cancelled,

@@ -162,9 +162,8 @@ pub struct ServiceConfig {
     /// ([`typedtd_chase::classify`]): a weakly acyclic Σ has a
     /// *terminating* chase, so the job runs sequentially with unbounded
     /// chase budgets and skips the finite-model search entirely — the
-    /// chase alone decides both implication problems. Linear/guarded
-    /// detections are surfaced in [`ServiceStats::class_routed`] without
-    /// changing execution. A per-query [`QuerySpec::decide_config`]
+    /// chase alone decides both implication problems. Every routing
+    /// decision is counted in [`ServiceStats::class_routed`]. A per-query [`QuerySpec::decide_config`]
     /// override disables routing for that job (the submitter's explicit
     /// config wins).
     pub classify: bool,
@@ -335,8 +334,8 @@ pub struct ServiceStats {
     pub class_cache_misses: [u64; DependencyClass::COUNT],
     /// Scheduled computations by the fragment route the classifier chose
     /// (indexed by [`RouteClass::index`]): `terminating` jobs run the
-    /// chase alone under unbounded budgets, `linear`/`guarded` are
-    /// observational detections, `dovetail` is the general-case default.
+    /// chase alone under unbounded budgets, `dovetail` is the general-case
+    /// default.
     /// All zero when [`ServiceConfig::classify`] is off; per-query decide
     /// overrides also bypass routing.
     pub class_routed: [u64; RouteClass::COUNT],
@@ -766,7 +765,6 @@ impl GroupMember {
             snap.instance_rows = state.chase.instance_rows() as u64;
             snap.join_build_rows = state.chase.join_build_rows();
             snap.join_probe_hits = state.chase.join_probe_hits();
-            snap.parallel_shards = state.chase.parallel_shards();
         }
         snap
     }
@@ -1323,11 +1321,6 @@ impl ImplicationClient {
             "Hash-join probe-side hits per settled job (chase trigger scans)",
             &t.join_probe_hits,
         );
-        x.histogram(
-            "typedtd_parallel_shards",
-            "Parallel scan shards per settled job (0 when sequential)",
-            &t.parallel_shards,
-        );
         x.finish()
     }
 
@@ -1564,7 +1557,7 @@ impl ImplicationClient {
         // Fragment routing: a per-query decide override is the
         // submitter's explicit word and wins; otherwise classify Σ and
         // run weakly acyclic queries on the terminating route (chase
-        // only, unbounded budgets). Linear/guarded routes only count.
+        // only, unbounded budgets); everything else keeps the dovetail.
         let dcfg = match decide {
             Some(d) => d,
             None => {
@@ -2423,11 +2416,8 @@ impl Core {
         self.telemetry
             .record_queue_wait(total.saturating_sub(slot.run_nanos));
         self.telemetry.record_fuel(slot.fuel_spent);
-        self.telemetry.record_join(
-            slot.progress.join_build_rows,
-            slot.progress.join_probe_hits,
-            slot.progress.parallel_shards,
-        );
+        self.telemetry
+            .record_join(slot.progress.join_build_rows, slot.progress.join_probe_hits);
     }
 
     /// Records the landing of a coalesced waiter: it spends no fuel and

@@ -1,7 +1,8 @@
-//! Regression tests for the `typedtd-serve` CLI's shutdown path: stdin
-//! closing with divergent jobs still pending must not leave the process
-//! grinding — `--drain-sweeps` cancels the stragglers explicitly and the
-//! exit is a deterministic stats ledger.
+//! Regression tests for the `typedtd-serve` CLI: stdin closing with
+//! divergent jobs still pending must not leave the process grinding —
+//! `--drain-sweeps` cancels the stragglers explicitly and the exit is a
+//! deterministic stats ledger — and the `--stats` ledger must carry the
+//! counters CI reads from it.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -93,5 +94,22 @@ fn unbounded_drain_still_prints_the_ledger() {
     assert!(
         stderr.contains("typedtd-serve: done submitted=2 answered=2 unknown=0 cancelled=0"),
         "default-drain ledger missing or wrong: {stderr}"
+    );
+}
+
+#[test]
+fn stats_ledger_reports_verify_rejects_after_verified_hits() {
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/queries/smoke.tdq");
+    let out = run_serve(&[smoke, "--verify-hits", "--stats"], "");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let ledger = stderr
+        .lines()
+        .find(|l| l.starts_with("jobs="))
+        .unwrap_or_else(|| panic!("missing --stats line in stderr: {stderr}"));
+    let tokens: Vec<&str> = ledger.split_whitespace().collect();
+    assert!(
+        tokens.contains(&"verify_rejects=0"),
+        "ledger must report zero hit-verification rejects: {ledger}"
     );
 }

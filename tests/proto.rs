@@ -682,8 +682,6 @@ fn stats_frame_roundtrips_classifier_and_group_tokens() {
     let stats = client.stats().expect("stats");
     for key in [
         "class_routed_terminating",
-        "class_routed_linear",
-        "class_routed_guarded",
         "class_routed_dovetail",
         "grouped",
         "group_chases",
@@ -709,9 +707,11 @@ fn stats_frame_roundtrips_classifier_and_group_tokens() {
         assert!(metrics.contains(needle), "metrics exposition missing {needle}");
     }
     // Backward tolerance: an old-format reply without the new tokens (and
-    // with junk) still parses, and simply lacks the new keys.
+    // with junk, and a retired route token) still parses, and simply
+    // lacks the new keys.
     let old = parse_stats_text(
-        "submitted=4 answered=2 cancelled=1 expired=1 pending=0 garbage not=numeric",
+        "submitted=4 answered=2 cancelled=1 expired=1 pending=0 class_routed_linear=3 \
+         garbage not=numeric",
     );
     assert_eq!(old["submitted"], 4);
     assert_eq!(old["pending"], 0);
