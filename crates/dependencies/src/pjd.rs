@@ -11,7 +11,7 @@
 use crate::td::Td;
 use std::sync::Arc;
 use typedtd_relational::{
-    project_join, AttrSet, FxHashMap, Relation, Tuple, Universe, Value, ValuePool,
+    project_join, AttrId, AttrSet, FxHashMap, Relation, Tuple, Universe, Value, ValuePool,
 };
 
 /// A projected join dependency `*[R₁, …, R_k]_X`.
@@ -171,17 +171,18 @@ impl Pjd {
             "pjd mentions attributes outside the universe"
         );
         let sorted = universe.is_typed();
-        let mut shared: FxHashMap<u16, Value> = FxHashMap::default();
+        let mut shared: Vec<Option<Value>> = vec![None; universe.width()];
         for a in self.attr().iter() {
-            shared.insert(a.0, pool.fresh(Some(a).filter(|_| sorted), "x"));
+            shared[a.index()] = Some(pool.fresh(Some(a).filter(|_| sorted), "x"));
         }
+        let shared = |a: AttrId| shared[a.index()].expect("component attributes are shared");
         let mut hyp = Vec::with_capacity(self.components.len());
         for r in &self.components {
             let row: Vec<Value> = universe
                 .attrs()
                 .map(|a| {
                     if r.contains(a) {
-                        shared[&a.0]
+                        shared(a)
                     } else {
                         pool.fresh(Some(a).filter(|_| sorted), "y")
                     }
@@ -193,7 +194,7 @@ impl Pjd {
             .attrs()
             .map(|a| {
                 if self.projection.contains(a) {
-                    shared[&a.0]
+                    shared(a)
                 } else {
                     pool.fresh(Some(a).filter(|_| sorted), "z")
                 }
@@ -226,7 +227,7 @@ impl Pjd {
                     if c != a.0 {
                         return Err(format!(
                             "value appears in two columns ({} and {}); not expressible as a pjd",
-                            universe.name(typedtd_relational::AttrId(c)),
+                            universe.name(AttrId(c)),
                             universe.name(a)
                         ));
                     }

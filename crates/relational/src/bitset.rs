@@ -8,10 +8,15 @@
 use crate::universe::AttrId;
 use std::fmt;
 
-/// A set of attributes, stored as a bitmap.
+/// A set of attributes, stored as a bitmap. The first word lives inline,
+/// so sets over universes of up to 64 attributes never allocate.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct AttrSet {
-    words: Vec<u64>,
+    /// Attributes `0..64`.
+    low: u64,
+    /// Attributes `64..`, one word per 64, without trailing zero words so
+    /// that derived `Eq`/`Hash` are semantic.
+    high: Vec<u64>,
 }
 
 impl AttrSet {
@@ -22,39 +27,76 @@ impl AttrSet {
 
     /// Drops trailing zero words so that derived `Eq`/`Hash` are semantic.
     fn normalize(&mut self) {
-        while self.words.last() == Some(&0) {
-            self.words.pop();
+        while self.high.last() == Some(&0) {
+            self.high.pop();
         }
+    }
+
+    /// Word `i` of the bitmap (zero beyond the stored words).
+    fn word(&self, i: usize) -> u64 {
+        match i {
+            0 => self.low,
+            _ => self.high.get(i - 1).copied().unwrap_or(0),
+        }
+    }
+
+    fn word_mut(&mut self, i: usize) -> &mut u64 {
+        match i {
+            0 => &mut self.low,
+            _ => {
+                if self.high.len() < i {
+                    self.high.resize(i, 0);
+                }
+                &mut self.high[i - 1]
+            }
+        }
+    }
+
+    /// Number of stored words.
+    fn words(&self) -> usize {
+        1 + self.high.len()
+    }
+
+    /// Builds a set word by word.
+    fn from_words(words: impl Iterator<Item = u64>) -> Self {
+        let mut out = Self::new();
+        for (i, w) in words.enumerate() {
+            if i == 0 {
+                out.low = w;
+            } else {
+                out.high.push(w);
+            }
+        }
+        out.normalize();
+        out
     }
 
     /// The set `{0, 1, …, n−1}` (all attributes of a width-`n` universe).
     pub fn full(n: usize) -> Self {
-        let mut s = Self::new();
-        for i in 0..n {
-            s.insert(AttrId(i as u16));
-        }
-        s
+        Self::from_words((0..n.div_ceil(64)).map(|i| match n - i * 64 {
+            k if k >= 64 => u64::MAX,
+            k => (1u64 << k) - 1,
+        }))
     }
 
     /// Inserts `a`; returns `true` if it was not already present.
     pub fn insert(&mut self, a: AttrId) -> bool {
         let (w, b) = (a.0 as usize / 64, a.0 as usize % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
+        let word = self.word_mut(w);
+        let had = *word & (1 << b) != 0;
+        *word |= 1 << b;
         !had
     }
 
     /// Removes `a`; returns `true` if it was present.
     pub fn remove(&mut self, a: AttrId) -> bool {
         let (w, b) = (a.0 as usize / 64, a.0 as usize % 64);
-        if w >= self.words.len() {
+        if w >= self.words() {
             return false;
         }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
+        let word = self.word_mut(w);
+        let had = *word & (1 << b) != 0;
+        *word &= !(1 << b);
         self.normalize();
         had
     }
@@ -63,50 +105,36 @@ impl AttrSet {
     #[inline]
     pub fn contains(&self, a: AttrId) -> bool {
         let (w, b) = (a.0 as usize / 64, a.0 as usize % 64);
-        w < self.words.len() && self.words[w] & (1 << b) != 0
+        self.word(w) & (1 << b) != 0
     }
 
     /// Number of attributes in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        (0..self.words())
+            .map(|i| self.word(i).count_ones() as usize)
+            .sum()
     }
 
     /// `true` if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.low == 0 && self.high.iter().all(|&w| w == 0)
     }
 
     /// Union, written `XY` in the paper.
     pub fn union(&self, other: &Self) -> Self {
-        let n = self.words.len().max(other.words.len());
-        let mut words = vec![0u64; n];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = self.words.get(i).copied().unwrap_or(0) | other.words.get(i).copied().unwrap_or(0);
-        }
-        Self { words }
+        let n = self.words().max(other.words());
+        Self::from_words((0..n).map(|i| self.word(i) | other.word(i)))
     }
 
     /// Intersection.
     pub fn intersection(&self, other: &Self) -> Self {
-        let n = self.words.len().min(other.words.len());
-        let mut words = vec![0u64; n];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = self.words[i] & other.words[i];
-        }
-        let mut out = Self { words };
-        out.normalize();
-        out
+        let n = self.words().min(other.words());
+        Self::from_words((0..n).map(|i| self.word(i) & other.word(i)))
     }
 
     /// Set difference `self − other`.
     pub fn difference(&self, other: &Self) -> Self {
-        let mut words = self.words.clone();
-        for (i, w) in words.iter_mut().enumerate() {
-            *w &= !other.words.get(i).copied().unwrap_or(0);
-        }
-        let mut out = Self { words };
-        out.normalize();
-        out
+        Self::from_words((0..self.words()).map(|i| self.word(i) & !other.word(i)))
     }
 
     /// Complement within a width-`n` universe, written `X̄` in the paper.
@@ -116,19 +144,19 @@ impl AttrSet {
 
     /// `true` if `self ⊆ other`.
     pub fn is_subset(&self, other: &Self) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+        (0..self.words()).all(|i| self.word(i) & !other.word(i) == 0)
     }
 
     /// Iterates attributes in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = AttrId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| AttrId((wi * 64 + b) as u16))
-        })
+        std::iter::once(&self.low)
+            .chain(&self.high)
+            .enumerate()
+            .flat_map(|(wi, &w)| {
+                (0..64)
+                    .filter(move |b| w & (1u64 << b) != 0)
+                    .map(move |b| AttrId((wi * 64 + b) as u16))
+            })
     }
 }
 

@@ -179,7 +179,7 @@ impl Universe {
             insert(self, spec.trim())?;
         } else {
             for ch in spec.trim().chars() {
-                insert(self, &ch.to_string())?;
+                insert(self, ch.encode_utf8(&mut [0; 4]))?;
             }
         }
         Ok(out)

@@ -55,9 +55,35 @@
 //! *after* each side's own canonical permutation (see
 //! [`permute_relation`]), which is exactly the equivalence equal keys now
 //! certify.
+//!
+//! # Cost and stability
+//!
+//! Canonicalization runs on every cached submit, so the encoder allocates
+//! only the key vectors it returns. Each thread keeps one encoder whose
+//! buffers serve every dependency and query after it: a dependency is
+//! loaded once as cells of dense local value ids (its values' ranks), the
+//! row-order search numbers values in a flat array with an undo log
+//! instead of a map, and descriptors and signatures live in flat buffers.
+//!
+//! The answer log persists [`QueryKey`]s, so key bytes are part of the
+//! on-disk format: a log written by an earlier version must keep
+//! warm-hitting. The row-order tie branching, the [`ROW_CAP`],
+//! [`LEAF_CAP`] and [`COL_CAP`] fallbacks and the signature ordering are
+//! therefore fixed. A golden hash over a fixed query corpus pins the
+//! bytes, and a property test checks the encoder against a plain,
+//! allocation-heavy transcription of the same algorithm kept in the
+//! test-only `reference` module.
 
+use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::Arc;
 use typedtd_dependencies::TdOrEgd;
 use typedtd_relational::{FxHashMap, Relation, Tuple, Universe, Value, ValuePool};
+
+#[cfg(test)]
+mod golden;
+#[cfg(test)]
+mod reference;
 
 /// Hypothesis-row count above which row-order canonicalization is skipped.
 pub const ROW_CAP: usize = 8;
@@ -189,11 +215,7 @@ impl QueryKey {
         for row in body[..nrows * width].chunks_exact(width) {
             rel.insert(Tuple::new(
                 row.iter()
-                    .map(|id| {
-                        *values
-                            .entry(*id)
-                            .or_insert_with(|| pool.untyped(&format!("v{id}")))
-                    })
+                    .map(|id| *values.entry(*id).or_insert_with(|| pool.fresh(None, "v")))
                     .collect(),
             ));
         }
@@ -237,14 +259,15 @@ pub struct QueryParts {
 /// encodings of Σ and of the goal (all under the canonical column
 /// permutation, which is returned alongside).
 pub fn query_parts(sigma: &[TdOrEgd], goal: &TdOrEgd) -> QueryParts {
-    let universe = match goal {
-        TdOrEgd::Td(t) => t.universe().clone(),
-        TdOrEgd::Egd(e) => e.universe().clone(),
-    };
+    let universe = dep_universe(goal);
     let width = universe.width();
-    let perm = column_order(sigma, goal, width);
-    let dep_keys: Vec<Vec<u32>> = sigma.iter().map(|d| dep_key_under(d, &perm)).collect();
-    let goal_key = dep_key_under(goal, &perm);
+    let (perm, dep_keys, goal_key) = ENCODER.with_borrow_mut(|enc| {
+        enc.load(width, sigma, goal);
+        let perm = enc.column_order(true);
+        let dep_keys: Vec<Vec<u32>> = (0..sigma.len()).map(|d| enc.encode(d, &perm)).collect();
+        let goal_key = enc.encode(sigma.len(), &perm);
+        (perm, dep_keys, goal_key)
+    });
     let mut sigma_keys = dep_keys.clone();
     sigma_keys.sort_unstable();
     sigma_keys.dedup();
@@ -283,325 +306,472 @@ fn is_identity(perm: &[u16]) -> bool {
     perm.iter().enumerate().all(|(i, &c)| i == c as usize)
 }
 
-/// The canonical column order for `(sigma, goal)`: columns sorted by
-/// their invariant signature, submitted position breaking ties. A tied
-/// block is almost always an automorphic (fully interchangeable) set of
-/// columns, for which any order yields the same canonical encodings —
-/// so no enumeration runs on the hot submit path.
-fn column_order(sigma: &[TdOrEgd], goal: &TdOrEgd, width: usize) -> Vec<u16> {
-    let mut order: Vec<u16> = (0..width as u16).collect();
-    if !(2..=COL_CAP).contains(&width) {
-        return order;
+fn dep_universe(dep: &TdOrEgd) -> &Arc<Universe> {
+    match dep {
+        TdOrEgd::Td(t) => t.universe(),
+        TdOrEgd::Egd(e) => e.universe(),
     }
-    let sigs = column_signatures(sigma, goal, width);
-    order.sort_by(|&a, &b| sigs[a as usize].cmp(&sigs[b as usize]).then(a.cmp(&b)));
-    order
-}
-
-/// The per-column invariant signatures of the whole query, one per
-/// column: the goal's per-column descriptor followed by the sorted
-/// multiset of Σ's descriptors (separated by sentinels). Columns related
-/// by a uniform permutation of the query carry equal signatures in their
-/// permuted positions, so the signature sort is itself
-/// permutation-invariant. This runs on every cached submit, so each
-/// dependency is scanned once for all of its columns.
-fn column_signatures(sigma: &[TdOrEgd], goal: &TdOrEgd, width: usize) -> Vec<Vec<u32>> {
-    let goal_descs = dep_col_descs(goal, width);
-    let sigma_descs: Vec<Vec<Vec<u32>>> =
-        sigma.iter().map(|d| dep_col_descs(d, width)).collect();
-    (0..width)
-        .map(|c| {
-            let mut sig = goal_descs[c].clone();
-            sig.push(u32::MAX);
-            let mut deps: Vec<&Vec<u32>> = sigma_descs.iter().map(|d| &d[c]).collect();
-            deps.sort_unstable();
-            for d in deps {
-                sig.extend(d.iter());
-                sig.push(u32::MAX);
-            }
-            sig
-        })
-        .collect()
-}
-
-/// One dependency's descriptors, one per column: counts only (invariant
-/// under value renaming and hypothesis-row order), computed in a single
-/// pass over the tableau.
-fn dep_col_descs(dep: &TdOrEgd, width: usize) -> Vec<Vec<u32>> {
-    let hyp = match dep {
-        TdOrEgd::Td(t) => t.hypothesis(),
-        TdOrEgd::Egd(e) => e.hypothesis(),
-    };
-    // Per column: the column's values (for the frequency profile) and the
-    // cross-column sharing count, gathered row by row.
-    let mut col_vals: Vec<Vec<Value>> = vec![Vec::with_capacity(hyp.len()); width];
-    let mut shared = vec![0u32; width];
-    for row in hyp {
-        let vals = row.values();
-        for (c, v) in vals.iter().enumerate() {
-            col_vals[c].push(*v);
-            shared[c] += vals
-                .iter()
-                .enumerate()
-                .filter(|&(i, w)| i != c && w == v)
-                .count() as u32;
-        }
-    }
-    (0..width)
-        .map(|c| {
-            let mut out = Vec::with_capacity(8 + hyp.len());
-            // Value-frequency profile: sorted multiset of per-distinct-
-            // value occurrence counts (tableaux are small, so a sort
-            // beats a hash map).
-            col_vals[c].sort_unstable();
-            let mut profile: Vec<u32> = Vec::new();
-            let mut run = 0u32;
-            for (i, v) in col_vals[c].iter().enumerate() {
-                run += 1;
-                if i + 1 == col_vals[c].len() || col_vals[c][i + 1] != *v {
-                    profile.push(run);
-                    run = 0;
-                }
-            }
-            profile.sort_unstable();
-            match dep {
-                TdOrEgd::Td(t) => {
-                    let w = t.conclusion().values();
-                    out.push(0);
-                    out.push(hyp.len() as u32);
-                    out.push(profile.len() as u32);
-                    out.push(shared[c]);
-                    out.extend(&profile);
-                    // Conclusion linkage: same-column hypothesis
-                    // occurrences of the conclusion value, its repeats
-                    // across the conclusion row, and whether it is
-                    // existential (fresh anywhere).
-                    let same_col =
-                        hyp.iter().filter(|r| r.values()[c] == w[c]).count() as u32;
-                    let in_concl = w
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, v)| i != c && *v == w[c])
-                        .count();
-                    let fresh = !hyp.iter().any(|r| r.values().contains(&w[c]));
-                    out.push(same_col);
-                    out.push(in_concl as u32);
-                    out.push(u32::from(fresh));
-                }
-                TdOrEgd::Egd(e) => {
-                    out.push(1);
-                    out.push(hyp.len() as u32);
-                    out.push(profile.len() as u32);
-                    out.push(shared[c]);
-                    out.extend(&profile);
-                    // Equality linkage, order-normalized (the equality
-                    // is symmetric): same-column occurrence counts of
-                    // each equated value.
-                    let l =
-                        hyp.iter().filter(|r| r.values()[c] == e.left()).count() as u32;
-                    let r = hyp
-                        .iter()
-                        .filter(|row| row.values()[c] == e.right())
-                        .count() as u32;
-                    out.push(l.min(r));
-                    out.push(l.max(r));
-                }
-            }
-            out
-        })
-        .collect()
-}
-
-/// What follows the hypothesis rows in a dependency encoding.
-enum Tail<'a> {
-    /// A td's conclusion row (may contain existential values).
-    Row(&'a Tuple),
-    /// An egd's equated pair (order-normalized: the equality is symmetric).
-    Pair(Value, Value),
 }
 
 /// Canonical encoding of one dependency, invariant under variable renaming
 /// and hypothesis-row reordering (columns read in submitted order).
 pub fn dep_key(dep: &TdOrEgd) -> Vec<u32> {
-    let width = match dep {
-        TdOrEgd::Td(t) => t.universe().width(),
-        TdOrEgd::Egd(e) => e.universe().width(),
-    };
+    let width = dep_universe(dep).width();
     let identity: Vec<u16> = (0..width as u16).collect();
-    dep_key_under(dep, &identity)
+    ENCODER.with_borrow_mut(|enc| {
+        enc.load(width, &[], dep);
+        enc.encode(0, &identity)
+    })
 }
 
-/// As [`dep_key`] but reading columns through `perm` (canonical position
-/// `i` reads submitted column `perm[i]`) — the per-dependency piece of the
-/// query-wide column-permutation normalization.
-fn dep_key_under(dep: &TdOrEgd, perm: &[u16]) -> Vec<u32> {
-    match dep {
-        TdOrEgd::Td(t) => {
-            let mut out = vec![TAG_TD, t.hypothesis().len() as u32];
-            out.extend(canonical_rows(t.hypothesis(), &Tail::Row(t.conclusion()), perm));
-            out
-        }
-        TdOrEgd::Egd(e) => {
-            let mut out = vec![TAG_EGD, e.hypothesis().len() as u32];
-            out.extend(canonical_rows(
-                e.hypothesis(),
-                &Tail::Pair(e.left(), e.right()),
-                perm,
-            ));
-            out
+thread_local! {
+    /// Each thread's encoder; its buffers outlive the queries it keys.
+    static ENCODER: RefCell<Encoder> = RefCell::new(Encoder::default());
+}
+
+/// Marks a value that has no canonical id yet.
+const UNSET: u32 = u32::MAX;
+
+/// Where one loaded dependency's cells live in [`Encoder::cells`].
+#[derive(Clone, Copy)]
+struct Shape {
+    start: usize,
+    nrows: usize,
+    /// Distinct values; the dependency's local ids are `0..distinct`.
+    distinct: usize,
+    egd: bool,
+}
+
+/// The canonical encoder. It loads a query's dependencies once, as cells
+/// of dense *local* value ids (a value's rank among the dependency's
+/// distinct values), so numbering a value is an array slot rather than a
+/// map entry; every buffer is kept for the next dependency and query.
+#[derive(Default)]
+struct Encoder {
+    width: usize,
+    /// Per dependency: its hypothesis rows (row-major, submitted column
+    /// order), then its conclusion row (td) or equated pair (egd).
+    cells: Vec<u32>,
+    /// Loaded dependencies: Σ in submitted order, then the goal if any.
+    shapes: Vec<Shape>,
+    /// One dependency's sorted distinct values while it loads.
+    values: Vec<Value>,
+    /// Per-column descriptors, spans indexed by `dep * width + column`.
+    descs: Vec<u32>,
+    desc_spans: Vec<(usize, usize)>,
+    /// Per-column signatures, spans indexed by column.
+    sigs: Vec<u32>,
+    sig_spans: Vec<(usize, usize)>,
+    /// Scratch: one column's local ids, their run lengths, Σ indices.
+    column: Vec<u32>,
+    runs: Vec<u32>,
+    sorted: Vec<usize>,
+    search: SearchState,
+}
+
+impl Encoder {
+    /// Loads `sigma` followed by `goal` over a width-`width` universe.
+    fn load(&mut self, width: usize, sigma: &[TdOrEgd], goal: &TdOrEgd) {
+        self.width = width;
+        self.cells.clear();
+        self.shapes.clear();
+        for dep in sigma.iter().chain(std::iter::once(goal)) {
+            self.load_one(dep);
         }
     }
-}
 
-/// Encodes `row` (read through `perm`) under `numbering`, assigning
-/// provisional ids (starting at `numbering.len()`) to unseen values in
-/// canonical column order. Returns the encoded tuple and the newly seen
-/// values in assignment order.
-fn encode_row(row: &Tuple, numbering: &FxHashMap<Value, u32>, perm: &[u16]) -> (Vec<u32>, Vec<Value>) {
-    let vals = row.values();
-    let mut enc = Vec::with_capacity(perm.len());
-    let mut fresh: Vec<Value> = Vec::new();
-    for &c in perm {
-        let v = &vals[c as usize];
-        if let Some(&id) = numbering.get(v) {
-            enc.push(id);
-        } else if let Some(pos) = fresh.iter().position(|f| f == v) {
-            enc.push((numbering.len() + pos) as u32);
+    fn load_one(&mut self, dep: &TdOrEgd) {
+        let (hyp, egd) = match dep {
+            TdOrEgd::Td(t) => (t.hypothesis(), false),
+            TdOrEgd::Egd(e) => (e.hypothesis(), true),
+        };
+        self.values.clear();
+        for row in hyp {
+            self.values.extend_from_slice(row.values());
+        }
+        match dep {
+            TdOrEgd::Td(t) => self.values.extend_from_slice(t.conclusion().values()),
+            TdOrEgd::Egd(e) => self.values.extend([e.left(), e.right()]),
+        }
+        // Cells keep the submitted layout; `values` becomes the sorted
+        // distinct values, and each cell the rank of its value.
+        let start = self.cells.len();
+        self.cells.extend(self.values.iter().map(|v| v.0));
+        self.values.sort_unstable();
+        self.values.dedup();
+        for cell in &mut self.cells[start..] {
+            *cell = self
+                .values
+                .binary_search(&Value(*cell))
+                .expect("every cell's value is among the distinct values")
+                as u32;
+        }
+        self.shapes.push(Shape {
+            start,
+            nrows: hyp.len(),
+            distinct: self.values.len(),
+            egd,
+        });
+    }
+
+    /// Where dependency `d`'s hypothesis cells and tail cells lie in
+    /// `self.cells`.
+    fn spans(&self, d: usize) -> (Range<usize>, Range<usize>) {
+        let s = self.shapes[d];
+        let rows_end = s.start + s.nrows * self.width;
+        let tail_len = if s.egd { 2 } else { self.width };
+        (s.start..rows_end, rows_end..rows_end + tail_len)
+    }
+
+    /// The canonical column order: columns sorted by their invariant
+    /// signature, submitted position breaking ties. A tied block is
+    /// almost always an automorphic (fully interchangeable) set of
+    /// columns, for which any order yields the same canonical encodings —
+    /// so no enumeration runs on the hot submit path. The signature of a
+    /// column is the goal's descriptor of it and a sentinel (when
+    /// `with_goal`; the goal is the last loaded dependency), then the
+    /// sorted multiset of Σ's descriptors, each followed by a sentinel.
+    /// Columns related by a uniform permutation of the query carry equal
+    /// signatures in their permuted positions, so the sort is itself
+    /// permutation-invariant.
+    fn column_order(&mut self, with_goal: bool) -> Vec<u16> {
+        let width = self.width;
+        let mut order: Vec<u16> = (0..width as u16).collect();
+        if !(2..=COL_CAP).contains(&width) {
+            return order;
+        }
+        let nsigma = self.shapes.len() - 1;
+        self.descs.clear();
+        self.desc_spans.clear();
+        for d in 0..nsigma + usize::from(with_goal) {
+            self.describe(d);
+        }
+        self.sigs.clear();
+        self.sig_spans.clear();
+        for c in 0..width {
+            let start = self.sigs.len();
+            if with_goal {
+                let (at, len) = self.desc_spans[nsigma * width + c];
+                self.sigs.extend_from_slice(&self.descs[at..at + len]);
+                self.sigs.push(u32::MAX);
+            }
+            let Self {
+                descs,
+                desc_spans,
+                sigs,
+                sorted,
+                ..
+            } = self;
+            let desc = |d: usize| {
+                let (at, len) = desc_spans[d * width + c];
+                &descs[at..at + len]
+            };
+            sorted.clear();
+            sorted.extend(0..nsigma);
+            sorted.sort_unstable_by(|&a, &b| desc(a).cmp(desc(b)));
+            for &d in sorted.iter() {
+                sigs.extend_from_slice(desc(d));
+                sigs.push(u32::MAX);
+            }
+            self.sig_spans.push((start, self.sigs.len() - start));
+        }
+        let sig = |c: u16| {
+            let (at, len) = self.sig_spans[c as usize];
+            &self.sigs[at..at + len]
+        };
+        order.sort_by(|&a, &b| sig(a).cmp(sig(b)).then(a.cmp(&b)));
+        order
+    }
+
+    /// Appends dependency `d`'s descriptors, one per column: counts only
+    /// (invariant under value renaming and hypothesis-row order) —
+    /// `[kind, rows, profile length, cross-column sharing, profile…,
+    /// linkage…]`.
+    fn describe(&mut self, d: usize) {
+        let width = self.width;
+        let egd = self.shapes[d].egd;
+        let (hyp, tail) = self.spans(d);
+        let Self {
+            cells,
+            descs,
+            desc_spans,
+            column,
+            runs,
+            ..
+        } = self;
+        let (hyp, tail) = (&cells[hyp], &cells[tail]);
+        let nrows = hyp.len() / width;
+        let rows = || hyp.chunks_exact(width);
+        for c in 0..width {
+            let start = descs.len();
+            // Value-frequency profile: sorted multiset of per-distinct-
+            // value occurrence counts in the column.
+            column.clear();
+            column.extend(rows().map(|r| r[c]));
+            column.sort_unstable();
+            runs.clear();
+            runs.extend(column.chunk_by(|a, b| a == b).map(|run| run.len() as u32));
+            runs.sort_unstable();
+            // Cross-column sharing: other cells of the same row holding
+            // this column's value.
+            let shared: usize = rows()
+                .map(|r| (0..width).filter(|&i| i != c && r[i] == r[c]).count())
+                .sum();
+            descs.extend([
+                u32::from(egd),
+                nrows as u32,
+                runs.len() as u32,
+                shared as u32,
+            ]);
+            descs.extend_from_slice(runs);
+            let same_col = |v: u32| rows().filter(|r| r[c] == v).count() as u32;
+            if egd {
+                // Equality linkage, order-normalized (the equality is
+                // symmetric): same-column occurrence counts of each
+                // equated value.
+                let (l, r) = (same_col(tail[0]), same_col(tail[1]));
+                descs.extend([l.min(r), l.max(r)]);
+            } else {
+                // Conclusion linkage: same-column hypothesis occurrences
+                // of the conclusion value, its repeats across the
+                // conclusion row, and whether it is existential.
+                let w = tail[c];
+                let in_concl = (0..width).filter(|&i| i != c && tail[i] == w).count();
+                descs.extend([same_col(w), in_concl as u32, u32::from(!hyp.contains(&w))]);
+            }
+            desc_spans.push((start, descs.len() - start));
+        }
+    }
+
+    /// Canonical encoding of loaded dependency `d` with columns read
+    /// through `perm` (canonical position `i` reads submitted column
+    /// `perm[i]`): `[tag, rows, rows × width ids, tail ids]`, the rows in
+    /// the order whose encoding is lexicographically minimal — or in the
+    /// submitted order when the search would blow up (more than
+    /// [`ROW_CAP`] rows or more than [`LEAF_CAP`] complete orders).
+    fn encode(&mut self, d: usize, perm: &[u16]) -> Vec<u32> {
+        let shape = self.shapes[d];
+        let (hyp, tail) = self.spans(d);
+        let (hyp, tail) = (&self.cells[hyp], &self.cells[tail]);
+        let mut out = Vec::with_capacity(2 + hyp.len() + tail.len());
+        out.push(if shape.egd { TAG_EGD } else { TAG_TD });
+        out.push(shape.nrows as u32);
+        let st = &mut self.search;
+        st.reset(shape, perm.len());
+        let mut search = Search {
+            hyp,
+            tail,
+            egd: shape.egd,
+            perm,
+            st,
+        };
+        if shape.nrows <= ROW_CAP && search.minimal_order() {
+            out.extend_from_slice(&search.st.best);
         } else {
-            enc.push((numbering.len() + fresh.len()) as u32);
-            fresh.push(*v);
+            search.submitted_order(&mut out);
+        }
+        out
+    }
+}
+
+/// Canonical ids of one dependency's local values, handed out in order.
+#[derive(Default)]
+struct Numbering {
+    /// Local id → canonical id (or [`UNSET`]).
+    ids: Vec<u32>,
+    /// Local ids in the order they were numbered (the undo log).
+    assigned: Vec<u32>,
+}
+
+impl Numbering {
+    fn reset(&mut self, distinct: usize) {
+        self.ids.clear();
+        self.ids.resize(distinct, UNSET);
+        self.assigned.clear();
+    }
+
+    /// Encodes `row` read through `perm` into `out`, numbering unseen
+    /// values in canonical column order. They stay numbered until
+    /// [`Numbering::rewind`] to a mark taken before.
+    fn number(&mut self, row: &[u32], perm: &[u16], out: &mut [u32]) {
+        for (o, &c) in out.iter_mut().zip(perm) {
+            let local = row[c as usize];
+            let id = &mut self.ids[local as usize];
+            if *id == UNSET {
+                *id = self.assigned.len() as u32;
+                self.assigned.push(local);
+            }
+            *o = *id;
         }
     }
-    (enc, fresh)
-}
 
-/// Appends the tail encoding under (a copy of) `numbering`.
-fn encode_tail(tail: &Tail<'_>, numbering: &FxHashMap<Value, u32>, perm: &[u16]) -> Vec<u32> {
-    match tail {
-        Tail::Row(conclusion) => encode_row(conclusion, numbering, perm).0,
-        Tail::Pair(l, r) => {
-            let li = numbering[l];
-            let ri = numbering[r];
-            vec![li.min(ri), li.max(ri)]
+    /// Encodes `row` as [`Numbering::number`] would, leaving the
+    /// numbering as it was.
+    fn peek(&mut self, row: &[u32], perm: &[u16], out: &mut [u32]) {
+        let mark = self.assigned.len();
+        self.number(row, perm, out);
+        self.rewind(mark);
+    }
+
+    /// Takes back every id handed out after the first `mark`.
+    fn rewind(&mut self, mark: usize) {
+        for local in self.assigned.drain(mark..) {
+            self.ids[local as usize] = UNSET;
         }
     }
 }
 
-/// The lexicographically minimal encoding of `rows ++ tail` over all row
-/// orders, or the identity-order encoding when the search would blow up.
-fn canonical_rows(rows: &[Tuple], tail: &Tail<'_>, perm: &[u16]) -> Vec<u32> {
-    if rows.len() > ROW_CAP {
-        return identity_encoding(rows, tail, perm);
-    }
-    let mut search = Search {
-        rows,
-        tail,
-        perm,
-        best: None,
-        leaves: 0,
-        aborted: false,
-    };
-    let mut used = vec![false; rows.len()];
-    let mut numbering = FxHashMap::default();
-    let mut acc = Vec::new();
-    search.dfs(&mut used, &mut numbering, &mut acc);
-    if search.aborted {
-        return identity_encoding(rows, tail, perm);
-    }
-    search.best.expect("nonempty hypothesis yields a best order")
-}
-
-/// Encoding in the submitted row order (renaming-invariant only).
-fn identity_encoding(rows: &[Tuple], tail: &Tail<'_>, perm: &[u16]) -> Vec<u32> {
-    let mut numbering = FxHashMap::default();
-    let mut out = Vec::new();
-    for row in rows {
-        let (enc, fresh) = encode_row(row, &numbering, perm);
-        for v in fresh {
-            let id = numbering.len() as u32;
-            numbering.insert(v, id);
-        }
-        out.extend(enc);
-    }
-    out.extend(encode_tail(tail, &numbering, perm));
-    out
-}
-
-struct Search<'a> {
-    rows: &'a [Tuple],
-    tail: &'a Tail<'a>,
-    perm: &'a [u16],
-    best: Option<Vec<u32>>,
+/// The search's buffers, reused from dependency to dependency.
+#[derive(Default)]
+struct SearchState {
+    numbering: Numbering,
+    used: Vec<bool>,
+    /// The encoded rows of the current prefix, one `width` slot per level.
+    acc: Vec<u32>,
+    /// Per level, the rows tying for the minimal encoding (a stack).
+    ties: Vec<u32>,
+    /// One candidate row's (or tail's) encoding.
+    tmp: Vec<u32>,
+    /// The smallest complete encoding so far (empty before the first).
+    best: Vec<u32>,
     leaves: usize,
     aborted: bool,
 }
 
-impl Search<'_> {
+impl SearchState {
+    fn reset(&mut self, shape: Shape, width: usize) {
+        self.numbering.reset(shape.distinct);
+        self.used.clear();
+        self.used.resize(shape.nrows, false);
+        self.acc.clear();
+        self.acc.resize(shape.nrows * width, 0);
+        self.ties.clear();
+        self.tmp.clear();
+        self.tmp.resize(width.max(2), 0);
+        self.best.clear();
+        self.leaves = 0;
+        self.aborted = false;
+    }
+}
+
+/// One dependency's row-order search over the shared buffers.
+struct Search<'a> {
+    hyp: &'a [u32],
+    tail: &'a [u32],
+    egd: bool,
+    perm: &'a [u16],
+    st: &'a mut SearchState,
+}
+
+impl<'a> Search<'a> {
+    fn row(&self, i: usize) -> &'a [u32] {
+        let w = self.perm.len();
+        &self.hyp[i * w..(i + 1) * w]
+    }
+
+    /// Encodes the tail into `st.tmp` under the current numbering and
+    /// returns its length: a td's conclusion row, or an egd's equated
+    /// pair (order-normalized: the equality is symmetric).
+    fn encode_tail(&mut self) -> usize {
+        let st = &mut *self.st;
+        if self.egd {
+            let l = st.numbering.ids[self.tail[0] as usize];
+            let r = st.numbering.ids[self.tail[1] as usize];
+            st.tmp[..2].copy_from_slice(&[l.min(r), l.max(r)]);
+            2
+        } else {
+            st.numbering.peek(self.tail, self.perm, &mut st.tmp);
+            self.perm.len()
+        }
+    }
+
+    /// Runs the minimal-order search; `false` when it gave up after
+    /// [`LEAF_CAP`] complete orders.
+    fn minimal_order(&mut self) -> bool {
+        self.dfs(0);
+        !self.st.aborted
+    }
+
     /// Backtracking minimal-order search. At every level only the rows
     /// whose encoded tuple is lexicographically minimal under the current
     /// numbering can extend a minimal prefix (encodings have fixed width,
-    /// so prefix dominance is exact); ties branch because they bind
-    /// different values.
-    fn dfs(
-        &mut self,
-        used: &mut [bool],
-        numbering: &mut FxHashMap<Value, u32>,
-        acc: &mut Vec<u32>,
-    ) {
-        if self.aborted {
+    /// so prefix dominance is exact); ties branch, in row order, because
+    /// they bind different values.
+    fn dfs(&mut self, depth: usize) {
+        let w = self.perm.len();
+        let nrows = self.hyp.len() / w;
+        if depth == nrows {
+            self.leaf();
             return;
         }
-        if acc.len() == self.rows.len() * self.rows.first().map_or(0, Tuple::width) {
-            self.leaves += 1;
-            if self.leaves > LEAF_CAP {
-                self.aborted = true;
-                return;
-            }
-            let mut candidate = acc.to_vec();
-            candidate.extend(encode_tail(self.tail, numbering, self.perm));
-            if self.best.as_ref().is_none_or(|b| candidate < *b) {
-                self.best = Some(candidate);
-            }
-            return;
-        }
-        // Encode every unused row once, keep the minimal encoded tuple.
-        let candidates: Vec<(usize, Vec<u32>, Vec<Value>)> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !used[*i])
-            .map(|(i, row)| {
-                let (enc, fresh) = encode_row(row, numbering, self.perm);
-                (i, enc, fresh)
-            })
-            .collect();
-        let min_enc = candidates
-            .iter()
-            .map(|(_, enc, _)| enc)
-            .min()
-            .expect("unused row exists below full depth")
-            .clone();
-        for (i, enc, fresh) in candidates {
-            if enc != min_enc {
+        let slot = depth * w..(depth + 1) * w;
+        let first_tie = self.st.ties.len();
+        for i in 0..nrows {
+            let (row, perm) = (self.row(i), self.perm);
+            let st = &mut *self.st;
+            if st.used[i] {
                 continue;
             }
-            used[i] = true;
-            for v in &fresh {
-                let id = numbering.len() as u32;
-                numbering.insert(*v, id);
-            }
-            let mark = acc.len();
-            acc.extend(&enc);
-            self.dfs(used, numbering, acc);
-            acc.truncate(mark);
-            for v in &fresh {
-                numbering.remove(v);
-            }
-            used[i] = false;
-            if self.aborted {
-                return;
+            let enc = &mut st.tmp[..w];
+            st.numbering.peek(row, perm, enc);
+            let min = &mut st.acc[slot.clone()];
+            if st.ties.len() == first_tie || *enc < *min {
+                min.copy_from_slice(enc);
+                st.ties.truncate(first_tie);
+                st.ties.push(i as u32);
+            } else if *enc == *min {
+                st.ties.push(i as u32);
             }
         }
+        for t in first_tie..self.st.ties.len() {
+            let i = self.st.ties[t] as usize;
+            let (row, perm) = (self.row(i), self.perm);
+            let st = &mut *self.st;
+            let mark = st.numbering.assigned.len();
+            st.used[i] = true;
+            st.numbering.number(row, perm, &mut st.acc[slot.clone()]);
+            self.dfs(depth + 1);
+            self.st.numbering.rewind(mark);
+            self.st.used[i] = false;
+            if self.st.aborted {
+                break;
+            }
+        }
+        self.st.ties.truncate(first_tie);
+    }
+
+    /// A complete row order: keeps `rows ++ tail` if it is the smallest
+    /// yet.
+    fn leaf(&mut self) {
+        self.st.leaves += 1;
+        if self.st.leaves > LEAF_CAP {
+            self.st.aborted = true;
+            return;
+        }
+        let n = self.encode_tail();
+        let st = &mut *self.st;
+        let (rows, tail) = (&st.acc[..], &st.tmp[..n]);
+        if st.best.is_empty() || (rows, tail) < st.best.split_at(rows.len()) {
+            st.best.clear();
+            st.best.extend_from_slice(rows);
+            st.best.extend_from_slice(tail);
+        }
+    }
+
+    /// Appends the encoding in the submitted row order (renaming-invariant
+    /// only) to `out`.
+    fn submitted_order(&mut self, out: &mut Vec<u32>) {
+        let w = self.perm.len();
+        self.st.numbering.rewind(0);
+        for i in 0..self.hyp.len() / w {
+            let at = out.len();
+            out.resize(at + w, 0);
+            self.st
+                .numbering
+                .number(self.row(i), self.perm, &mut out[at..]);
+        }
+        let n = self.encode_tail();
+        out.extend_from_slice(&self.st.tmp[..n]);
     }
 }
 
@@ -650,19 +820,19 @@ pub struct GroupQuery {
 /// with different goal shapes over one Σ agree on it. `None` only for
 /// degenerate inputs (zero-width universes).
 pub fn group_query(sigma: &[TdOrEgd], goal: &TdOrEgd) -> Option<GroupQuery> {
-    let universe = match goal {
-        TdOrEgd::Td(t) => t.universe().clone(),
-        TdOrEgd::Egd(e) => e.universe().clone(),
-    };
+    let universe = dep_universe(goal);
     let width = universe.width();
     if width == 0 {
         return None;
     }
-    let perm = sigma_column_order(sigma, width);
-    let mut sigma_keys: Vec<Vec<u32>> = sigma.iter().map(|d| dep_key_under(d, &perm)).collect();
+    let (mut sigma_keys, goal_key) = ENCODER.with_borrow_mut(|enc| {
+        enc.load(width, sigma, goal);
+        let perm = enc.column_order(false);
+        let sigma_keys: Vec<Vec<u32>> = (0..sigma.len()).map(|d| enc.encode(d, &perm)).collect();
+        (sigma_keys, enc.encode(sigma.len(), &perm))
+    });
     sigma_keys.sort_unstable();
     sigma_keys.dedup();
-    let goal_key = dep_key_under(goal, &perm);
     let nrows = *goal_key.get(1)? as usize;
     let hyp = goal_key.get(2..2 + nrows.checked_mul(width)?)?.to_vec();
     Some(GroupQuery {
@@ -674,32 +844,6 @@ pub fn group_query(sigma: &[TdOrEgd], goal: &TdOrEgd) -> Option<GroupQuery> {
         },
         goal: goal_key,
     })
-}
-
-/// The canonical column order of Σ alone: like `column_order` but with no
-/// goal contribution, so every member of a Σ-group computes the same
-/// permutation regardless of its goal's shape.
-fn sigma_column_order(sigma: &[TdOrEgd], width: usize) -> Vec<u16> {
-    let mut order: Vec<u16> = (0..width as u16).collect();
-    if !(2..=COL_CAP).contains(&width) {
-        return order;
-    }
-    let sigma_descs: Vec<Vec<Vec<u32>>> =
-        sigma.iter().map(|d| dep_col_descs(d, width)).collect();
-    let sigs: Vec<Vec<u32>> = (0..width)
-        .map(|c| {
-            let mut deps: Vec<&Vec<u32>> = sigma_descs.iter().map(|d| &d[c]).collect();
-            deps.sort_unstable();
-            let mut sig = Vec::new();
-            for d in deps {
-                sig.extend(d.iter());
-                sig.push(u32::MAX);
-            }
-            sig
-        })
-        .collect();
-    order.sort_by(|&a, &b| sigs[a as usize].cmp(&sigs[b as usize]).then(a.cmp(&b)));
-    order
 }
 
 /// Everything one shared saturation needs, decoded from a [`GroupKey`]
@@ -903,6 +1047,9 @@ fn decode_dep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
     use std::sync::Arc;
     use typedtd_dependencies::{egd_from_names, td_from_names};
     use typedtd_relational::{isomorphic, Universe, ValuePool};
@@ -1346,6 +1493,108 @@ mod tests {
                 .decode_goal(&q.goal, task.pool_mut())
                 .expect("member goal decodes into the group space");
             assert_eq!(task.goal_derivable(&goal), want);
+        }
+    }
+
+    /// How [`random_dep`] lays a tableau out.
+    #[derive(Clone, Copy)]
+    enum Layout {
+        /// Up to `ROW_CAP` rows over a small alphabet (many repeats).
+        Random,
+        /// 6..=`ROW_CAP` rows of distinct values, all interchangeable:
+        /// more than `LEAF_CAP` minimal orders.
+        Symmetric,
+        /// `ROW_CAP + 1` random rows.
+        Oversized,
+    }
+
+    /// A random td or egd over `u`.
+    fn random_dep(
+        rng: &mut StdRng,
+        u: &Arc<Universe>,
+        p: &mut ValuePool,
+        layout: Layout,
+    ) -> TdOrEgd {
+        let width = u.width();
+        let nrows = match layout {
+            Layout::Random => rng.random_range(1..=ROW_CAP),
+            Layout::Symmetric => rng.random_range(6..=ROW_CAP),
+            Layout::Oversized => ROW_CAP + 1,
+        };
+        let alphabet = rng.random_range(1..=3usize);
+        let shared_first = rng.random_range(0..2usize) == 0;
+        let hyp: Vec<Tuple> = (0..nrows)
+            .map(|r| {
+                let row = (0..width).map(|c| {
+                    let name = match layout {
+                        Layout::Symmetric if c == 0 && shared_first => "x".to_string(),
+                        Layout::Symmetric => format!("r{r}c{c}"),
+                        _ => format!("v{}", rng.random_range(0..alphabet)),
+                    };
+                    p.for_attr(AttrId(c as u16), &name)
+                });
+                Tuple::new(row.collect())
+            })
+            .collect();
+        let pick = |rng: &mut StdRng, c: usize| hyp[rng.random_range(0..nrows)].values()[c];
+        if rng.random_range(0..3usize) == 0 {
+            let c = rng.random_range(0..width);
+            let (l, r) = (pick(rng, c), pick(rng, c));
+            return TdOrEgd::Egd(Egd::new(u.clone(), l, r, hyp));
+        }
+        let conclusion = (0..width)
+            .map(|c| match rng.random_range(0..4usize) {
+                0 => p.fresh(Some(AttrId(c as u16)).filter(|_| u.is_typed()), "e"),
+                // Another column's value: cross-column linkage.
+                1 if !u.is_typed() => {
+                    let other = rng.random_range(0..width);
+                    pick(rng, other)
+                }
+                _ => pick(rng, c),
+            })
+            .collect();
+        TdOrEgd::Td(Td::new(u.clone(), Tuple::new(conclusion), hyp))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn encoder_matches_reference(
+            width in 1..=COL_CAP + 1,
+            typed in 0..2usize,
+            nsigma in 0..=3usize,
+            seed in 0..u64::MAX,
+        ) {
+            let names: Vec<String> = (0..width).map(|c| format!("A{c}")).collect();
+            let u = if typed == 1 { Universe::typed(names) } else { Universe::untyped(names) };
+            let mut p = ValuePool::new(u.clone());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dep = |rng: &mut StdRng| {
+                let layout = match rng.random_range(0..6usize) {
+                    0 => Layout::Symmetric,
+                    1 => Layout::Oversized,
+                    _ => Layout::Random,
+                };
+                random_dep(rng, &u, &mut p, layout)
+            };
+            let sigma: Vec<TdOrEgd> = (0..nsigma).map(|_| dep(&mut rng)).collect();
+            let goal = dep(&mut rng);
+
+            let (got, want) = (query_parts(&sigma, &goal), reference::query_parts(&sigma, &goal));
+            prop_assert_eq!(&got.perm, &want.perm);
+            prop_assert_eq!(&got.key, &want.key);
+            prop_assert_eq!(&got.sigma_keys, &want.sigma_keys);
+            prop_assert_eq!(&got.goal_key, &want.goal_key);
+
+            let got = group_query(&sigma, &goal).expect("nonzero width");
+            let want = reference::group_query(&sigma, &goal).expect("nonzero width");
+            prop_assert_eq!(&got.key, &want.key);
+            prop_assert_eq!(&got.goal, &want.goal);
+
+            for d in sigma.iter().chain([&goal]) {
+                prop_assert_eq!(dep_key(d), reference::dep_key(d));
+            }
         }
     }
 }

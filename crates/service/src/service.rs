@@ -1438,13 +1438,9 @@ impl ImplicationClient {
             // dependencies are logically redundant (isomorphic constraints
             // are equivalent) but would inflate this job's per-round scan
             // relative to a dedup-submitted twin.
-            let mut seen_deps = FxHashSet::default();
-            let mut di = 0;
-            sigma.retain(|_| {
-                let keep = seen_deps.insert(parts.sigma_keys[di].clone());
-                di += 1;
-                keep
-            });
+            let mut seen_deps: FxHashSet<&[u32]> = FxHashSet::default();
+            let mut keys = parts.sigma_keys.iter();
+            sigma.retain(|_| seen_deps.insert(keys.next().expect("one key per dependency")));
             (key, shard_idx, Some(parts.perm))
         } else {
             let shard_idx =

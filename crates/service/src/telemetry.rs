@@ -26,6 +26,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Number of histogram buckets. Bucket `i` (for `i < 63`) counts values
 /// `v` with `bucket_index(v) == i`, i.e. values up to `2^i - 1`; the
@@ -196,9 +197,17 @@ impl OutcomeKind {
 /// The service's histogram families: submit→resolve latency split by
 /// [`OutcomeKind`], queue-wait vs run time for scheduled jobs, and fuel
 /// per job. Disabled (`ServiceConfig::metrics = false`) it records
-/// nothing — one branch per call is the entire overhead.
+/// nothing — one branch per call is the entire overhead. Enabled, the
+/// families (some 4.7 KB of counters) are allocated by the first record,
+/// so constructing a client touches none of that memory.
 pub struct Telemetry {
     enabled: bool,
+    families: OnceLock<Box<Families>>,
+}
+
+/// The histograms behind [`Telemetry`].
+#[derive(Default)]
+struct Families {
     latency: [Histogram; 4],
     queue_wait: Histogram,
     run_time: Histogram,
@@ -213,12 +222,7 @@ impl Telemetry {
     pub fn new(enabled: bool) -> Self {
         Self {
             enabled,
-            latency: std::array::from_fn(|_| Histogram::new()),
-            queue_wait: Histogram::new(),
-            run_time: Histogram::new(),
-            fuel_per_job: Histogram::new(),
-            join_build_rows: Histogram::new(),
-            join_probe_hits: Histogram::new(),
+            families: OnceLock::new(),
         }
     }
 
@@ -227,31 +231,36 @@ impl Telemetry {
         self.enabled
     }
 
+    /// The families to record into, allocated on first use.
+    fn families(&self) -> &Families {
+        self.families.get_or_init(Box::default)
+    }
+
     /// Submit→resolve latency for one landed submission.
     pub fn record_latency(&self, kind: OutcomeKind, nanos: u64) {
         if self.enabled {
-            self.latency[kind.idx()].record(nanos);
+            self.families().latency[kind.idx()].record(nanos);
         }
     }
 
     /// Time a scheduled job spent waiting (not being stepped).
     pub fn record_queue_wait(&self, nanos: u64) {
         if self.enabled {
-            self.queue_wait.record(nanos);
+            self.families().queue_wait.record(nanos);
         }
     }
 
     /// Time a scheduled job spent actually being stepped.
     pub fn record_run_time(&self, nanos: u64) {
         if self.enabled {
-            self.run_time.record(nanos);
+            self.families().run_time.record(nanos);
         }
     }
 
     /// Fuel one landed submission consumed.
     pub fn record_fuel(&self, fuel: u64) {
         if self.enabled {
-            self.fuel_per_job.record(fuel);
+            self.families().fuel_per_job.record(fuel);
         }
     }
 
@@ -259,20 +268,24 @@ impl Telemetry {
     /// build rows and probe hits its chase spent.
     pub fn record_join(&self, build_rows: u64, probe_hits: u64) {
         if self.enabled {
-            self.join_build_rows.record(build_rows);
-            self.join_probe_hits.record(probe_hits);
+            let families = self.families();
+            families.join_build_rows.record(build_rows);
+            families.join_probe_hits.record(probe_hits);
         }
     }
 
-    /// Snapshots every family at once.
+    /// Snapshots every family at once (all zero before the first record).
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        let Some(f) = self.families.get() else {
+            return TelemetrySnapshot::default();
+        };
         TelemetrySnapshot {
-            latency: std::array::from_fn(|i| self.latency[i].snapshot()),
-            queue_wait: self.queue_wait.snapshot(),
-            run_time: self.run_time.snapshot(),
-            fuel_per_job: self.fuel_per_job.snapshot(),
-            join_build_rows: self.join_build_rows.snapshot(),
-            join_probe_hits: self.join_probe_hits.snapshot(),
+            latency: std::array::from_fn(|i| f.latency[i].snapshot()),
+            queue_wait: f.queue_wait.snapshot(),
+            run_time: f.run_time.snapshot(),
+            fuel_per_job: f.fuel_per_job.snapshot(),
+            join_build_rows: f.join_build_rows.snapshot(),
+            join_probe_hits: f.join_probe_hits.snapshot(),
         }
     }
 }
