@@ -27,10 +27,23 @@
 //! * trigger discovery for a dependency only enumerates embeddings that
 //!   touch at least one row of the *delta* — the rows stamped after `seen`,
 //!   drained from the log in time proportional to the delta — via
-//!   [`Embedder::for_each_embedding_touching`], which pins one hypothesis
-//!   row to the delta and backtracks over the rest. Deltas are cached per
-//!   distinct frontier for the pass ([`FrontierDeltas`]), shared by the egd
-//!   and td scans.
+//!   [`Embedder::for_each_frame`], which pins one hypothesis row to the
+//!   delta and backtracks over the rest. Deltas are cached per distinct
+//!   frontier for the pass ([`FrontierDeltas`]), shared by the egd and td
+//!   scans.
+//!
+//! Every Σ dependency is compiled once, when the task is created, into a
+//! [`CompiledDep`]: slot patterns for its hypothesis and conclusion plus
+//! its placement plans. Scans bind slots of one reused frame, and a
+//! trigger *is* a frame: the hypothesis slots' images, appended to one
+//! flat arena per round. Checking a total td's conclusion gathers its
+//! slots into a row and probes the instance's row set; firing a trigger
+//! resolves its frame through the union-find, binds the existential slots
+//! to fresh nulls in attribute order, and reads the matched rows and the
+//! new row off the patterns. Nothing is hashed or allocated per
+//! enumerated embedding, and the triggers, trace and rounds are exactly
+//! those of a search that materializes a
+//! [`Valuation`](typedtd_relational::Valuation) per embedding.
 //!
 //! This is sound and complete because triggers are monotone in the chase:
 //! an embedding whose rows are all old and unchanged was already enumerated
@@ -71,10 +84,10 @@ use crate::instance::ChaseInstance;
 use crate::trace::{ChaseStep, ChaseTrace, StepKind};
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use typedtd_dependencies::TdOrEgd;
+use typedtd_dependencies::{CompiledDep, CompiledTd, TdOrEgd};
 use typedtd_relational::{
-    satisfies_row, Embedder, FxHashMap, FxHashSet, Relation, RowDelta, ScanStats, Tuple, Universe,
-    Valuation, Value, ValuePool,
+    AttrId, Embedder, Frame, FxHashMap, FxHashSet, Relation, RowDelta, ScanStats, Tuple, Universe,
+    Value, ValuePool,
 };
 
 /// Which chase strategy to run.
@@ -271,28 +284,54 @@ impl FrontierDeltas {
     }
 }
 
-/// The hypothesis rows of either dependency kind.
-fn dep_hypothesis(dep: &TdOrEgd) -> &[Tuple] {
-    match dep {
-        TdOrEgd::Td(td) => td.hypothesis(),
-        TdOrEgd::Egd(e) => e.hypothesis(),
+/// A goal compiled once for the per-round derivability check.
+enum GoalCheck {
+    /// A td goal: its conclusion must hold under the representatives of
+    /// its frozen hypothesis values.
+    Td(CompiledTd),
+    /// An egd goal: its two sides must be identified.
+    Egd(Value, Value),
+}
+
+impl GoalCheck {
+    fn new(goal: &Goal) -> Self {
+        match goal {
+            TdOrEgd::Td(td) => GoalCheck::Td(CompiledTd::new(td)),
+            TdOrEgd::Egd(e) => GoalCheck::Egd(e.left(), e.right()),
+        }
+    }
+
+    /// Whether the goal is derivable in the instance. A total goal is one
+    /// row probe; an existential goal a one-row frame search.
+    fn holds(&self, inst: &mut ChaseInstance, s: &mut Buffers) -> bool {
+        match self {
+            GoalCheck::Egd(left, right) => inst.identified(*left, *right),
+            GoalCheck::Td(td) => {
+                let hyp = td.hypothesis();
+                s.frame.reset(td.frame_slots());
+                for &slot in td.conclusion() {
+                    let slot = slot as usize;
+                    if slot < hyp.slots() {
+                        s.frame.bind(slot, inst.resolve(hyp.values()[slot]));
+                    }
+                }
+                td.holds_at(inst.relation(), s.frame.values(), &mut s.probe, &mut s.key)
+            }
+        }
     }
 }
 
-/// Checks whether the goal is derivable in the instance.
-fn goal_holds(inst: &mut ChaseInstance, goal: &Goal) -> bool {
-    match goal {
-        TdOrEgd::Egd(e) => inst.identified(e.left(), e.right()),
-        TdOrEgd::Td(td) => {
-            let seed = Valuation::from_pairs(
-                td.hypothesis_values()
-                    .into_iter()
-                    .map(|v| (v, inst.resolve(v))),
-            );
-            let emb = Embedder::new(inst.relation());
-            emb.embeds(std::slice::from_ref(td.conclusion()), &seed)
-        }
-    }
+/// Buffers reused by every scan and check of a task.
+#[derive(Default)]
+struct Buffers {
+    /// The frame scans bind.
+    frame: Frame,
+    /// The frame of a conclusion probe.
+    probe: Frame,
+    /// A gathered row (total-conclusion probes).
+    key: Vec<Value>,
+    /// The frame of the violating egd embedding found last.
+    witness: Vec<Value>,
 }
 
 /// A resumable chase: the full mid-run state of one saturation or
@@ -327,29 +366,25 @@ fn goal_holds(inst: &mut ChaseInstance, goal: &Goal) -> bool {
 pub struct ChaseTask {
     universe: Arc<Universe>,
     inst: ChaseInstance,
-    sigma: Arc<[TdOrEgd]>,
+    /// Σ, compiled once (see the module docs).
+    deps: Vec<CompiledDep>,
     pool: ValuePool,
     cfg: ChaseConfig,
-    goal: Option<Goal>,
+    goal: Option<GoalCheck>,
     trace: ChaseTrace,
     steps: usize,
     /// Oblivious-chase memory of fired triggers, per dependency. Keys are
-    /// the dependency's sorted hypothesis values under the trigger's
-    /// valuation; per-dep sets allow allocation-free slice lookups.
+    /// trigger frames (the hypothesis slots' images); per-dep sets allow
+    /// allocation-free slice lookups.
     fired: Vec<FxHashSet<Vec<Value>>>,
-    /// Per-dependency sorted hypothesis value lists (trigger keys).
-    hyp_vals: Vec<Vec<Value>>,
-    /// Per-dependency flag: `true` for a td whose conclusion values all
-    /// occur in its hypothesis (a *total* td — no existentials). A trigger
-    /// valuation then binds the whole conclusion, so satisfaction collapses
-    /// to literal row membership — one hash probe instead of an embedding
-    /// search. `false` for egds (unused).
-    total_concl: Vec<bool>,
     /// Per-dependency instance version up to which the dependency has been
     /// fully verified (the semi-naive frontier).
     seen: Vec<u64>,
-    /// Scratch buffer for oblivious trigger keys.
-    key_buf: Vec<Value>,
+    /// This round's td triggers: `(dependency, offset)` into
+    /// `trigger_vals`, which holds each trigger's hypothesis frame.
+    triggers: Vec<(usize, usize)>,
+    trigger_vals: Vec<Value>,
+    bufs: Buffers,
     rounds: usize,
     /// Equality merges applied so far (the egd half of `steps`); kept as
     /// its own counter so profilers read it without scanning the trace.
@@ -357,8 +392,6 @@ pub struct ChaseTask {
     /// Per-dependency hypothesis placement plans for delta-pinned scans
     /// (`touch_plans[di][pin]`), computed once from the hypothesis shape.
     touch_plans: Vec<Vec<Vec<usize>>>,
-    /// Per-dependency hypothesis placement plans for full scans.
-    scan_plans: Vec<Vec<usize>>,
     /// Hash-join build-side rows taken (delta-pinned candidates) across all
     /// trigger scans so far.
     join_build_rows: u64,
@@ -375,9 +408,9 @@ impl ChaseTask {
     /// A resumable implication chase of `goal`'s hypothesis under `sigma`.
     ///
     /// `pool` must be (a snapshot of) the pool the dependencies' values came
-    /// from; it is returned, evolved, by [`ChaseTask::finish`]. `sigma` is
-    /// shared (`Arc<[TdOrEgd]>`), so a driver holding several tasks over
-    /// one Σ pays for it once.
+    /// from; it is returned, evolved, by [`ChaseTask::finish`]. The task
+    /// compiles `sigma` once into its own slot patterns (see the module
+    /// docs) and keeps nothing else of it.
     pub fn implication(
         sigma: impl Into<Arc<[TdOrEgd]>>,
         goal: Goal,
@@ -417,67 +450,32 @@ impl ChaseTask {
         pool: ValuePool,
         cfg: ChaseConfig,
     ) -> Self {
-        let sigma = sigma.into();
-        let hyp_vals: Vec<Vec<Value>> = sigma
-            .iter()
-            .map(|d| {
-                let mut vals: Vec<Value> = match d {
-                    TdOrEgd::Td(t) => t.hypothesis_values().into_iter().collect(),
-                    TdOrEgd::Egd(e) => {
-                        let mut s = FxHashSet::default();
-                        for t in e.hypothesis() {
-                            s.extend(t.val());
-                        }
-                        s.into_iter().collect()
-                    }
-                };
-                vals.sort_unstable();
-                vals
-            })
-            .collect();
-        let total_concl: Vec<bool> = sigma
-            .iter()
-            .zip(&hyp_vals)
-            .map(|(d, hv)| match d {
-                TdOrEgd::Td(t) => t
-                    .conclusion()
-                    .val()
-                    .all(|v| hv.binary_search(&v).is_ok()),
-                TdOrEgd::Egd(_) => false,
-            })
-            .collect();
-        let fired = vec![FxHashSet::default(); sigma.len()];
-        let seen = vec![0; sigma.len()];
+        let sigma: Arc<[TdOrEgd]> = sigma.into();
+        let deps: Vec<CompiledDep> = sigma.iter().map(CompiledDep::new).collect();
         // Placement plans depend only on the hypothesis shape (which values
         // repeat across rows), not on the instance: compute them once here
         // instead of on every scan of every round.
-        let empty_seed = Valuation::new();
-        let touch_plans: Vec<Vec<Vec<usize>>> = sigma
+        let touch_plans = deps
             .iter()
-            .map(|d| Embedder::touch_plans(dep_hypothesis(d), &empty_seed))
-            .collect();
-        let scan_plans: Vec<Vec<usize>> = sigma
-            .iter()
-            .map(|d| Embedder::scan_plan(dep_hypothesis(d), &empty_seed))
+            .map(|d| d.hypothesis().touch_plans(&[]))
             .collect();
         Self {
             inst: ChaseInstance::new(universe.clone(), init),
             universe,
-            sigma,
+            fired: vec![FxHashSet::default(); deps.len()],
+            seen: vec![0; deps.len()],
+            deps,
             pool,
             cfg,
-            goal,
+            goal: goal.as_ref().map(GoalCheck::new),
             trace: ChaseTrace::default(),
             steps: 0,
-            fired,
-            hyp_vals,
-            total_concl,
-            seen,
-            key_buf: Vec::new(),
+            triggers: Vec::new(),
+            trigger_vals: Vec::new(),
+            bufs: Buffers::default(),
             rounds: 0,
             merges: 0,
             touch_plans,
-            scan_plans,
             join_build_rows: 0,
             join_probe_hits: 0,
             done: None,
@@ -593,7 +591,7 @@ impl ChaseTask {
     /// Takes `&mut self` because the check resolves values through the
     /// instance's union-find (path compression).
     pub fn goal_derivable(&mut self, goal: &Goal) -> bool {
-        goal_holds(&mut self.inst, goal)
+        GoalCheck::new(goal).holds(&mut self.inst, &mut self.bufs)
     }
 
     /// Extracts the finished run and the evolved pool.
@@ -631,13 +629,13 @@ impl ChaseTask {
             return;
         }
         if let Some(g) = &self.goal {
-            if goal_holds(&mut self.inst, g) {
+            if g.holds(&mut self.inst, &mut self.bufs) {
                 self.done = Some(ChaseOutcome::Implied);
                 return;
             }
         }
-        let triggers = self.collect_td_triggers();
-        if triggers.is_empty() {
+        self.collect_td_triggers();
+        if self.triggers.is_empty() {
             // Terminal. With a goal, the universal model refutes it; in
             // saturation mode the fixpoint was reached (reported as
             // NotImplied = "terminal").
@@ -648,7 +646,7 @@ impl ChaseTask {
             self.done = Some(ChaseOutcome::Exhausted);
             return;
         }
-        if let ControlFlow::Break(o) = self.apply_td_triggers(triggers) {
+        if let ControlFlow::Break(o) = self.apply_td_triggers() {
             self.done = Some(o);
             return;
         }
@@ -669,13 +667,17 @@ impl ChaseTask {
         // and resets the cache, keeping its allocation — via
         // `continue 'outer`.
         let mut deltas = FrontierDeltas::default();
+        let s = &mut self.bufs;
         'outer: loop {
             deltas.reset();
-            for (di, dep) in self.sigma.iter().enumerate() {
-                let TdOrEgd::Egd(e) = dep else { continue };
+            for (di, dep) in self.deps.iter().enumerate() {
+                let CompiledDep::Egd(e) = dep else { continue };
                 let scanned_at = self.inst.version();
+                let relation = self.inst.relation();
+                let emb = Embedder::new(relation);
+                s.frame.reset(e.hypothesis().slots());
                 let mut stats = ScanStats::default();
-                let violation = if self.cfg.semi_naive {
+                let found = if self.cfg.semi_naive {
                     if scanned_at == self.seen[di] {
                         continue; // frontier current: skip the drain
                     }
@@ -684,7 +686,6 @@ impl ChaseTask {
                         self.seen[di] = scanned_at;
                         continue;
                     }
-                    let relation = self.inst.relation();
                     if delta.len() * 2 >= relation.len() {
                         // Merge-heavy pass: most rows are dirty, so the
                         // pin-partitioned enumeration would revisit nearly
@@ -693,30 +694,50 @@ impl ChaseTask {
                         // sound, and advancing the frontier afterwards
                         // stays correct for the same reason it does after
                         // a touching scan.
-                        e.violation_planned(relation, &self.scan_plans[di], &mut stats)
-                    } else {
-                        e.violation_touching_planned(
-                            relation,
-                            delta,
-                            &self.touch_plans[di],
+                        e.find_violation(
+                            &emb,
+                            e.plan(),
+                            None,
+                            &mut s.frame,
                             &mut stats,
+                            &mut s.witness,
                         )
+                    } else {
+                        self.touch_plans[di].iter().enumerate().any(|(pin, plan)| {
+                            let touch = Some((delta, pin));
+                            e.find_violation(
+                                &emb,
+                                plan,
+                                touch,
+                                &mut s.frame,
+                                &mut stats,
+                                &mut s.witness,
+                            )
+                        })
                     }
                 } else {
-                    e.violation(self.inst.relation())
+                    // The naive reference's egd scans count no joins.
+                    let mut uncounted = ScanStats::default();
+                    e.find_violation(
+                        &emb,
+                        e.plan(),
+                        None,
+                        &mut s.frame,
+                        &mut uncounted,
+                        &mut s.witness,
+                    )
                 };
                 self.join_build_rows += stats.build_rows;
                 self.join_probe_hits += stats.probe_hits;
-                let Some(alpha) = violation else {
+                if !found {
                     // Fully verified at this version; nothing before it can
                     // become violating without being stamped dirty.
                     self.seen[di] = scanned_at;
                     continue;
-                };
-                let a = alpha.get(e.left()).expect("left bound by hypothesis");
-                let b = alpha.get(e.right()).expect("right bound by hypothesis");
-                let matched = alpha.apply_rows(e.hypothesis());
-                if let Some((kept, gone)) = self.inst.merge(a, b) {
+                }
+                let (left, right) = e.sides();
+                let matched = e.hypothesis().images(&s.witness);
+                if let Some((kept, gone)) = self.inst.merge(s.witness[left], s.witness[right]) {
                     self.trace.steps.push(ChaseStep {
                         dep: di,
                         matched,
@@ -735,71 +756,58 @@ impl ChaseTask {
     }
 
     /// Enumerates td triggers against the current (immutable this round)
-    /// instance. For the standard and core variants only *unsatisfied*
-    /// triggers count; the oblivious variant takes every not-yet-fired
-    /// one.
+    /// instance into `triggers`/`trigger_vals`. For the standard and core
+    /// variants only *unsatisfied* triggers count; the oblivious variant
+    /// takes every not-yet-fired one.
     ///
     /// Semi-naive: each td only enumerates embeddings touching its delta,
     /// one pinned hypothesis row at a time; its `seen` frontier then
     /// advances to the scanned version. Tds are scanned in Σ order and
     /// pins in hypothesis order, so the collected trigger list — and hence
     /// the applied trace — is deterministic.
-    fn collect_td_triggers(&mut self) -> Vec<(usize, Valuation)> {
+    fn collect_td_triggers(&mut self) {
         let oblivious = self.cfg.variant == ChaseVariant::Oblivious;
         let scanned_at = self.inst.version();
         let mut deltas = FrontierDeltas::default();
-        let emb = Embedder::new(self.inst.relation());
-        let empty_seed = Valuation::new();
-        let mut triggers: Vec<(usize, Valuation)> = Vec::new();
+        let relation = self.inst.relation();
+        let emb = Embedder::new(relation);
         let mut stats = ScanStats::default();
-        for (di, dep) in self.sigma.iter().enumerate() {
-            let TdOrEgd::Td(td) = dep else { continue };
-            let mut visit = |alpha: &Valuation| {
+        let Buffers {
+            frame, probe, key, ..
+        } = &mut self.bufs;
+        let (triggers, arena) = (&mut self.triggers, &mut self.trigger_vals);
+        triggers.clear();
+        arena.clear();
+        for (di, dep) in self.deps.iter().enumerate() {
+            let CompiledDep::Td(td) = dep else { continue };
+            let hyp_slots = td.hypothesis().slots();
+            let fired = &self.fired[di];
+            let mut visit = |vals: &[Value]| {
                 let is_trigger = if oblivious {
-                    self.key_buf.clear();
-                    self.key_buf.extend(
-                        self.hyp_vals[di]
-                            .iter()
-                            .map(|&v| alpha.get(v).expect("hypothesis value bound")),
-                    );
-                    !self.fired[di].contains(self.key_buf.as_slice())
-                } else if self.total_concl[di] {
-                    // Total conclusion: satisfaction is literal membership
-                    // of the (fully bound) conclusion row — one hash probe.
-                    self.key_buf.clear();
-                    self.key_buf.extend(
-                        td.conclusion()
-                            .val()
-                            .map(|v| alpha.get(v).expect("total conclusion bound")),
-                    );
-                    !emb.target().contains_values(&self.key_buf)
+                    !fired.contains(&vals[..hyp_slots])
                 } else {
-                    !emb.embeds(std::slice::from_ref(td.conclusion()), alpha)
+                    !td.holds_at(relation, vals, probe, key)
                 };
                 if is_trigger {
-                    triggers.push((di, alpha.clone()));
+                    triggers.push((di, arena.len()));
+                    arena.extend_from_slice(&vals[..hyp_slots]);
                 }
                 ControlFlow::Continue(())
             };
+            frame.reset(td.frame_slots());
             if self.cfg.semi_naive {
                 let delta = deltas.fill(&self.inst, self.seen[di]);
                 for (pin, plan) in self.touch_plans[di].iter().enumerate() {
-                    emb.for_each_embedding_touching_pin(
-                        td.hypothesis(),
-                        &empty_seed,
-                        delta,
-                        pin,
-                        plan,
-                        &mut stats,
-                        &mut visit,
-                    );
+                    let touch = Some((delta, pin));
+                    emb.for_each_frame(td.hypothesis(), plan, touch, frame, &mut stats, &mut visit);
                 }
                 self.seen[di] = scanned_at;
             } else {
-                emb.for_each_embedding_planned(
+                emb.for_each_frame(
                     td.hypothesis(),
-                    &empty_seed,
-                    &self.scan_plans[di],
+                    td.plan(),
+                    None,
+                    frame,
                     &mut stats,
                     &mut visit,
                 );
@@ -807,84 +815,67 @@ impl ChaseTask {
         }
         self.join_build_rows += stats.build_rows;
         self.join_probe_hits += stats.probe_hits;
-        triggers
     }
 
     /// Fires the collected triggers (re-verifying each under the merges and
     /// additions that happened earlier in the round).
-    fn apply_td_triggers(
-        &mut self,
-        triggers: Vec<(usize, Valuation)>,
-    ) -> ControlFlow<ChaseOutcome> {
-        let oblivious = self.cfg.variant == ChaseVariant::Oblivious;
-        // Trail buffer for the per-trigger satisfaction probes; lent to
-        // `satisfies_row` so the hot loop allocates nothing per trigger.
-        let mut scratch = Vec::new();
-        for (di, alpha) in triggers {
-            let TdOrEgd::Td(td) = &self.sigma[di] else {
-                unreachable!("td trigger indexes a td")
-            };
-            // Resolve the trigger under any merges since collection. In
-            // the current round shape no merge can land between the two,
-            // so the common case is a cheap identity check that skips the
-            // map rebuild entirely.
-            let resolved = if alpha
-                .iter()
-                .any(|(_, img)| self.inst.resolve_readonly(img) != img)
-            {
-                Valuation::from_pairs(alpha.iter().map(|(v, img)| (v, self.inst.resolve(img))))
-            } else {
-                alpha
-            };
-            if oblivious {
-                self.key_buf.clear();
-                self.key_buf.extend(
-                    self.hyp_vals[di]
-                        .iter()
-                        .map(|&v| resolved.get(v).expect("hypothesis value bound")),
-                );
-                if self.fired[di].contains(self.key_buf.as_slice()) {
-                    continue;
-                }
-                self.fired[di].insert(self.key_buf.clone());
-            } else if self.total_concl[di] {
-                self.key_buf.clear();
-                self.key_buf.extend(
-                    td.conclusion()
-                        .val()
-                        .map(|v| resolved.get(v).expect("total conclusion bound")),
-                );
-                if self.inst.relation().contains_values(&self.key_buf) {
-                    continue; // satisfied meanwhile
-                }
-            } else if satisfies_row(self.inst.relation(), td.conclusion(), &resolved, &mut scratch)
-            {
-                continue; // satisfied meanwhile
+    fn apply_td_triggers(&mut self) -> ControlFlow<ChaseOutcome> {
+        let triggers = std::mem::take(&mut self.triggers);
+        let arena = std::mem::take(&mut self.trigger_vals);
+        let flow = triggers
+            .iter()
+            .try_for_each(|&(di, at)| self.fire_td_trigger(di, &arena[at..]));
+        // Hand the buffers back for the next round's collection.
+        self.triggers = triggers;
+        self.trigger_vals = arena;
+        flow
+    }
+
+    /// Fires one td trigger whose hypothesis frame starts `vals`, unless it
+    /// is satisfied (or, oblivious, fired) by now.
+    fn fire_td_trigger(&mut self, di: usize, vals: &[Value]) -> ControlFlow<ChaseOutcome> {
+        let CompiledDep::Td(td) = &self.deps[di] else {
+            unreachable!("td trigger indexes a td")
+        };
+        let hyp = td.hypothesis();
+        let s = &mut self.bufs;
+        // Resolve the trigger under any merges since collection (in the
+        // current round shape none lands between the two, so every value
+        // is its own representative).
+        s.frame.reset(td.frame_slots());
+        for (slot, &img) in vals[..hyp.slots()].iter().enumerate() {
+            s.frame.bind(slot, self.inst.resolve(img));
+        }
+        if self.cfg.variant == ChaseVariant::Oblivious {
+            let bound = &s.frame.values()[..hyp.slots()];
+            if self.fired[di].contains(bound) {
+                return ControlFlow::Continue(());
             }
-            // The trace wants the matched hypothesis rows under the
-            // pre-extension valuation; computing it first lets `resolved`
-            // move into the extension instead of being cloned.
-            let matched = resolved.apply_rows(td.hypothesis());
-            // Extend with fresh nulls on existential conclusion values.
-            let mut ext = resolved;
-            for a in self.universe.attrs() {
-                let v = td.conclusion().get(a);
-                if ext.get(v).is_none() {
-                    let sort = Some(a).filter(|_| self.universe.is_typed());
-                    ext.bind(v, self.pool.fresh(sort, "n"));
-                }
-            }
-            let row = ext.apply_tuple(td.conclusion());
-            if self.inst.insert(row.clone()) {
-                self.trace.steps.push(ChaseStep {
-                    dep: di,
-                    matched,
-                    kind: StepKind::AddRow { row },
-                });
-                self.steps += 1;
-                if self.steps >= self.cfg.max_steps || self.inst.len() >= self.cfg.max_rows {
-                    return ControlFlow::Break(ChaseOutcome::Exhausted);
-                }
+            self.fired[di].insert(bound.to_vec());
+        } else if td.holds_at(
+            self.inst.relation(),
+            s.frame.values(),
+            &mut s.probe,
+            &mut s.key,
+        ) {
+            return ControlFlow::Continue(()); // satisfied meanwhile
+        }
+        // The trace wants the matched hypothesis rows under the trigger.
+        let matched = hyp.images(s.frame.values());
+        let (universe, pool) = (&self.universe, &mut self.pool);
+        let row = td.conclusion_row(s.frame.values(), |a| {
+            let sort = Some(AttrId(a as u16)).filter(|_| universe.is_typed());
+            pool.fresh(sort, "n")
+        });
+        if self.inst.insert(row.clone()) {
+            self.trace.steps.push(ChaseStep {
+                dep: di,
+                matched,
+                kind: StepKind::AddRow { row },
+            });
+            self.steps += 1;
+            if self.steps >= self.cfg.max_steps || self.inst.len() >= self.cfg.max_rows {
+                return ControlFlow::Break(ChaseOutcome::Exhausted);
             }
         }
         ControlFlow::Continue(())

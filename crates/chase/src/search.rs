@@ -26,7 +26,7 @@ use crate::cancel::CancelToken;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
-use typedtd_dependencies::TdOrEgd;
+use typedtd_dependencies::{CompiledDep, TdOrEgd};
 use typedtd_relational::{FxHashMap, Relation, Tuple, Universe, Value, ValuePool};
 
 /// Budget for counterexample search.
@@ -76,9 +76,16 @@ fn make_domain(
 
 /// `true` if `rel` satisfies all of `sigma` but violates `goal`.
 pub fn is_counterexample(rel: &Relation, sigma: &[TdOrEgd], goal: &TdOrEgd) -> bool {
-    !rel.is_empty()
-        && sigma.iter().all(|d| d.satisfied_by(rel))
-        && !goal.satisfied_by(rel)
+    counterexample(rel, &compile(sigma), &CompiledDep::new(goal))
+}
+
+/// [`is_counterexample`] over compiled dependencies.
+fn counterexample(rel: &Relation, sigma: &[CompiledDep], goal: &CompiledDep) -> bool {
+    !rel.is_empty() && sigma.iter().all(|d| d.satisfied_by(rel)) && !goal.satisfied_by(rel)
+}
+
+fn compile(sigma: &[TdOrEgd]) -> Vec<CompiledDep> {
+    sigma.iter().map(CompiledDep::new).collect()
 }
 
 /// Systematically enumerates relations over a `k`-per-attribute domain with
@@ -96,6 +103,7 @@ pub fn exhaustive_counterexample(
     max_rows: usize,
     max_candidates: usize,
 ) -> Option<Relation> {
+    let (sigma, goal) = (compile(sigma), CompiledDep::new(goal));
     let domain = make_domain(universe, pool, k);
     let width = universe.width();
     // Materialize the tuple space.
@@ -128,7 +136,7 @@ pub fn exhaustive_counterexample(
                 universe.clone(),
                 combo.iter().map(|&i| space[i].clone()),
             );
-            if is_counterexample(&rel, sigma, goal) {
+            if counterexample(&rel, &sigma, &goal) {
                 return Some(rel);
             }
             if !next_combination(&mut combo, space.len()) {
@@ -194,8 +202,9 @@ pub enum SearchStatus {
 /// task to completion visits exactly the attempts the blocking driver
 /// would, in the same order, with the same RNG stream.
 pub struct SearchTask {
-    sigma: Arc<[TdOrEgd]>,
-    goal: TdOrEgd,
+    /// Σ and the goal, compiled once for the repair loop's checks.
+    sigma: Vec<CompiledDep>,
+    goal: CompiledDep,
     universe: Arc<Universe>,
     pool: ValuePool,
     cfg: SearchConfig,
@@ -227,8 +236,8 @@ impl SearchTask {
     ) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
         Self {
-            sigma: sigma.into(),
-            goal,
+            sigma: compile(&sigma.into()),
+            goal: CompiledDep::new(&goal),
             universe,
             pool,
             cfg,
@@ -344,8 +353,8 @@ impl SearchTask {
 }
 
 fn attempt(
-    sigma: &[TdOrEgd],
-    goal: &TdOrEgd,
+    sigma: &[CompiledDep],
+    goal: &CompiledDep,
     universe: &Arc<Universe>,
     domain: &[Vec<Value>],
     cfg: &SearchConfig,
@@ -370,10 +379,10 @@ fn attempt(
         let mut repaired = false;
         for dep in sigma {
             match dep {
-                TdOrEgd::Egd(e) => {
-                    if let Some(alpha) = e.violation(&rel) {
-                        let a = alpha.get(e.left()).expect("bound");
-                        let b = alpha.get(e.right()).expect("bound");
+                CompiledDep::Egd(e) => {
+                    if let Some(w) = e.violation(&rel, None) {
+                        let (left, right) = e.sides();
+                        let (a, b) = (w[left], w[right]);
                         // Collapse b into a everywhere.
                         let map: FxHashMap<Value, Value> = rel
                             .val()
@@ -384,18 +393,11 @@ fn attempt(
                         break;
                     }
                 }
-                TdOrEgd::Td(t) => {
-                    if let Some(alpha) = t.violation(&rel) {
+                CompiledDep::Td(t) => {
+                    if let Some(w) = t.violation(&rel) {
                         // Bind existentials to random domain values of the
                         // right column — the finite twist.
-                        let mut ext = alpha.clone();
-                        for (i, attr) in universe.attrs().enumerate() {
-                            let v = t.conclusion().get(attr);
-                            if ext.get(v).is_none() {
-                                ext.bind(v, domain[i][rng.random_range(0..k)]);
-                            }
-                        }
-                        rel.insert(ext.apply_tuple(t.conclusion()));
+                        rel.insert(t.conclusion_row(&w, |a| domain[a][rng.random_range(0..k)]));
                         repaired = true;
                         break;
                     }
@@ -406,7 +408,7 @@ fn attempt(
             break;
         }
     }
-    if is_counterexample(&rel, sigma, goal) {
+    if counterexample(&rel, sigma, goal) {
         Some(rel)
     } else {
         None

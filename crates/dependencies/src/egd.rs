@@ -4,11 +4,9 @@
 //! satisfies it when every valuation `α` with `α(I) ⊆ J` has `α(a) = α(b)`.
 //! In typed universes `a` and `b` must belong to the same attribute domain.
 
-use std::ops::ControlFlow;
+use crate::compiled::CompiledEgd;
 use std::sync::Arc;
-use typedtd_relational::{
-    Embedder, Relation, RowDelta, ScanStats, Tuple, Universe, Valuation, Value, ValuePool,
-};
+use typedtd_relational::{Relation, RowDelta, Tuple, Universe, Valuation, Value, ValuePool};
 
 /// An equality-generating dependency `(a = b, I)`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -98,30 +96,12 @@ impl Egd {
     /// Decides `J ⊨ (a = b, I)`.
     pub fn satisfied_by(&self, j: &Relation) -> bool {
         assert_eq!(j.universe().width(), self.universe.width());
-        let emb = Embedder::new(j);
-        let violated = emb.for_each_embedding(&self.hypothesis, &Valuation::new(), |alpha| {
-            if alpha.get(self.left) == alpha.get(self.right) {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
-        });
-        !violated
+        self.violation(j).is_none()
     }
 
     /// Finds a valuation witnessing `J ⊭ (a = b, I)`, if any.
     pub fn violation(&self, j: &Relation) -> Option<Valuation> {
-        let emb = Embedder::new(j);
-        let mut witness = None;
-        emb.for_each_embedding(&self.hypothesis, &Valuation::new(), |alpha| {
-            if alpha.get(self.left) == alpha.get(self.right) {
-                ControlFlow::Continue(())
-            } else {
-                witness = Some(alpha.clone());
-                ControlFlow::Break(())
-            }
-        });
-        witness
+        self.violation_among(j, None)
     }
 
     /// Finds a violating valuation whose hypothesis embedding touches at
@@ -131,76 +111,15 @@ impl Egd {
     /// avoiding `delta` was previously verified non-violating (and the
     /// touched rows have not changed since), `None` here means `J ⊨ self`.
     pub fn violation_touching(&self, j: &Relation, delta: &RowDelta) -> Option<Valuation> {
-        let emb = Embedder::new(j);
-        let mut witness = None;
-        emb.for_each_embedding_touching(&self.hypothesis, &Valuation::new(), delta, |alpha| {
-            if alpha.get(self.left) == alpha.get(self.right) {
-                ControlFlow::Continue(())
-            } else {
-                witness = Some(alpha.clone());
-                ControlFlow::Break(())
-            }
-        });
-        witness
+        self.violation_among(j, Some(delta))
     }
 
-    /// [`Self::violation`] with a precomputed placement plan
-    /// ([`Embedder::scan_plan`] over the hypothesis, empty seed) and join
-    /// counters — the chase caches the plan per dependency.
-    pub fn violation_planned(
-        &self,
-        j: &Relation,
-        plan: &[usize],
-        stats: &mut ScanStats,
-    ) -> Option<Valuation> {
-        let emb = Embedder::new(j);
-        let mut witness = None;
-        emb.for_each_embedding_planned(&self.hypothesis, &Valuation::new(), plan, stats, |alpha| {
-            if alpha.get(self.left) == alpha.get(self.right) {
-                ControlFlow::Continue(())
-            } else {
-                witness = Some(alpha.clone());
-                ControlFlow::Break(())
-            }
-        });
-        witness
-    }
-
-    /// [`Self::violation_touching`] with precomputed per-pin placement plans
-    /// ([`Embedder::touch_plans`] over the hypothesis, empty seed) and join
-    /// counters.
-    pub fn violation_touching_planned(
-        &self,
-        j: &Relation,
-        delta: &RowDelta,
-        plans: &[Vec<usize>],
-        stats: &mut ScanStats,
-    ) -> Option<Valuation> {
-        let emb = Embedder::new(j);
-        let seed = Valuation::new();
-        let mut witness = None;
-        for (pin, plan) in plans.iter().enumerate() {
-            let broke = emb.for_each_embedding_touching_pin(
-                &self.hypothesis,
-                &seed,
-                delta,
-                pin,
-                plan,
-                stats,
-                |alpha| {
-                    if alpha.get(self.left) == alpha.get(self.right) {
-                        ControlFlow::Continue(())
-                    } else {
-                        witness = Some(alpha.clone());
-                        ControlFlow::Break(())
-                    }
-                },
-            );
-            if broke {
-                break;
-            }
-        }
-        witness
+    /// A violating valuation among the embeddings touching `delta` (all of
+    /// them when `None`).
+    fn violation_among(&self, j: &Relation, delta: Option<&RowDelta>) -> Option<Valuation> {
+        let compiled = CompiledEgd::new(self);
+        let witness = compiled.violation(j, delta)?;
+        Some(compiled.hypothesis().valuation(&witness))
     }
 
     /// Renders the egd as `a = b ⇐ I` via the given pool.

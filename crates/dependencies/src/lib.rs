@@ -21,7 +21,10 @@
 //!   exchange td;
 //! * [`Dependency`] / [`TdOrEgd`] — a unified enum and normalization into
 //!   the td + egd fragment consumed by the chase engine, with
-//!   [`DependencyClass`] tags for heterogeneous-workload accounting.
+//!   [`DependencyClass`] tags for heterogeneous-workload accounting;
+//! * [`CompiledTd`] / [`CompiledEgd`] — tds and egds compiled once into
+//!   slot patterns for the frame search (the chase's and the finite-model
+//!   search's form).
 //!
 //! Every class carries a *decidable* satisfaction test over finite
 //! relations (`satisfied_by`), which is the semantic ground truth the rest
@@ -29,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+pub mod compiled;
 pub mod dependency;
 pub mod egd;
 pub mod fd;
@@ -40,6 +44,7 @@ pub mod parser;
 pub mod pjd;
 pub mod td;
 
+pub use compiled::{CompiledDep, CompiledEgd, CompiledTd};
 pub use dependency::{Dependency, DependencyClass, TdOrEgd};
 pub use egd::Egd;
 pub use fd::{closure as fd_closure, implies as fd_implies, Fd};

@@ -5,11 +5,9 @@
 //! `J` satisfies `(w, I)` when every valuation `α` with `α(I) ⊆ J` can be
 //! extended to `w` so that `α(w) ∈ J`.
 
+use crate::compiled::CompiledTd;
 use crate::egd::Egd;
-use std::ops::ControlFlow;
-use typedtd_relational::{
-    AttrId, AttrSet, Embedder, Relation, Tuple, Universe, Valuation, ValuePool,
-};
+use typedtd_relational::{AttrId, AttrSet, Relation, Tuple, Universe, Valuation, ValuePool};
 use typedtd_relational::FxHashSet;
 use std::sync::Arc;
 
@@ -139,30 +137,14 @@ impl Td {
     /// into `J` and checking each extends to the conclusion.
     pub fn satisfied_by(&self, j: &Relation) -> bool {
         assert_eq!(j.universe().width(), self.universe.width());
-        let emb = Embedder::new(j);
-        let violated = emb.for_each_embedding(&self.hypothesis, &Valuation::new(), |alpha| {
-            if emb.embeds(std::slice::from_ref(&self.conclusion), alpha) {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
-        });
-        !violated
+        CompiledTd::new(self).satisfied_by(j)
     }
 
     /// Finds a valuation witnessing `J ⊭ (w, I)`, if one exists.
     pub fn violation(&self, j: &Relation) -> Option<Valuation> {
-        let emb = Embedder::new(j);
-        let mut witness = None;
-        emb.for_each_embedding(&self.hypothesis, &Valuation::new(), |alpha| {
-            if emb.embeds(std::slice::from_ref(&self.conclusion), alpha) {
-                ControlFlow::Continue(())
-            } else {
-                witness = Some(alpha.clone());
-                ControlFlow::Break(())
-            }
-        });
-        witness
+        let compiled = CompiledTd::new(self);
+        let witness = compiled.violation(j)?;
+        Some(compiled.hypothesis().valuation(&witness))
     }
 
     /// Number of hypothesis rows, written `|I|` in the paper (the `m` of the

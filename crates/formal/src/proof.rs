@@ -107,7 +107,6 @@ pub fn verify(sigma: &[TdOrEgd], goal: &TdOrEgd, proof: &Proof) -> Result<(), St
                             "step {i}: the egd does not force the claimed equality"
                         ));
                     }
-                    drop(emb);
                     inst.merge(k, g);
                 }
             }

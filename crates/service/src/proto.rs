@@ -1028,10 +1028,11 @@ fn serve_conn(core: &ServerCore, mut stream: ProtoStream) {
         if !pending.is_empty() {
             core.client.tick();
         }
-        if last_progress.elapsed() >= PROGRESS_INTERVAL {
+        let due = last_progress.elapsed() >= PROGRESS_INTERVAL;
+        if due {
             last_progress = Instant::now();
-            pump_progress(&mut pending, &mut out);
         }
+        pump_progress(&mut pending, due, &mut out);
         pump_answers(&mut pending, &mut order, &mut counters, &mut out);
         if !out.is_empty() {
             if !write_all_checked(core, &mut stream, &out) {
@@ -1273,8 +1274,8 @@ fn handle_frame(
 }
 
 /// How often a connection scans its progress-streaming submissions for
-/// a `Running` frame. Decouples wire chatter from the helping-drive
-/// read cadence (1 µs while anything is pending).
+/// a `Running` frame after their first one. Decouples wire chatter from
+/// the helping-drive read cadence (1 µs while anything is pending).
 const PROGRESS_INTERVAL: Duration = Duration::from_micros(500);
 
 /// Emits a `PROGRESS`/`Running` frame for every streaming submission
@@ -1282,9 +1283,16 @@ const PROGRESS_INTERVAL: Duration = Duration::from_micros(500);
 /// `last_fuel` gate makes the stream strictly fuel-monotone; entries
 /// with every part already resolved stay quiet (their `ANSWER` carries
 /// the final totals).
-fn pump_progress(pending: &mut HashMap<u64, PendingEntry>, out: &mut Vec<u8>) {
+///
+/// An entry that has not streamed yet (`last_fuel == 0`) is checked on
+/// every pump, so its first frame leaves on the first pump that sees a
+/// still-pending part with fuel spent, not on the next interval
+/// boundary. A job that runs to completion between two pumps still
+/// streams nothing. Later frames wait for a `due` pump (one per
+/// [`PROGRESS_INTERVAL`]).
+fn pump_progress(pending: &mut HashMap<u64, PendingEntry>, due: bool, out: &mut Vec<u8>) {
     for (&corr, entry) in pending.iter_mut() {
-        if !entry.progress {
+        if !entry.progress || (!due && entry.last_fuel > 0) {
             continue;
         }
         let mut up = RunningUpdate {
